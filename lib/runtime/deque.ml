@@ -67,19 +67,35 @@ type 'a buffer = {
    GC cannot reclaim a generation a racing thief still reads; without
    it, this clear is exactly what a reuse/reclaim would do to the
    thief).  Used by the mutation smoke test to prove the explorer can
-   detect this class of bug.  Never enable outside tests. *)
+   detect this class of bug.  Never enable outside tests.
+
+   The yield hook is per domain: the explorer runs every schedule on
+   the domain that installed it, while the other domains of the same
+   process (a daemon's pool workers, say) keep running real deques and
+   must never call it.  [installed] counts the domains that hold one,
+   so with none installed each point is one load and branch. *)
 module Hooks = struct
-  let yield : (string -> unit) option ref = ref None
+  let installed = Atomic.make 0
+
+  let yield : (string -> unit) option Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> None)
 
   let drop_retired = ref false
 
-  let set_yield f = yield := f
+  let set_yield f =
+    let had = Option.is_some (Domain.DLS.get yield) in
+    Domain.DLS.set yield f;
+    match (had, f) with
+    | false, Some _ -> Atomic.incr installed
+    | true, None -> Atomic.decr installed
+    | _ -> ()
 
   let set_drop_retired b = drop_retired := b
 end
 
 let[@inline] yield_point what =
-  match !Hooks.yield with None -> () | Some f -> f what
+  if Atomic.get Hooks.installed > 0 then
+    match Domain.DLS.get Hooks.yield with None -> () | Some f -> f what
 
 type 'a t = {
   top : int Atomic.t;

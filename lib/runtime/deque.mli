@@ -40,8 +40,11 @@ module Hooks : sig
       {!push}, {!pop}, {!steal} and the internal grow — the explorer
       performs an effect there to hand control back to its scheduler,
       so a single domain can enumerate the interleavings real domains
-      only hit by timing.  With the hook unset (the default) each
-      point costs one immediate-ref load and branch. *)
+      only hit by timing.  The hook belongs to the calling domain:
+      deques used on other domains never call it, so an exploration
+      can run beside real work in the same process.  With no hook
+      installed on any domain (the default) each point costs one load
+      and branch. *)
   val set_yield : (string -> unit) option -> unit
 
   (** [set_drop_retired true] re-introduces the pre-hardening bug

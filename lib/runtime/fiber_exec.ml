@@ -2,28 +2,39 @@ module Trace = Nd_trace.Collector
 
 (* ----------------------------- hooks ------------------------------- *)
 
+(* the yield hook is per domain, as in {!Deque.Hooks}: an explorer on
+   one domain must not preempt fibers that real pools run on others *)
 module Hooks = struct
-  let yield : (string -> unit) option ref = ref None
+  let installed = Atomic.make 0
+
+  let yield : (string -> unit) option Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> None)
 
   let lost_wakeup = ref false
 
-  let set_yield f = yield := f
+  let set_yield f =
+    let had = Option.is_some (Domain.DLS.get yield) in
+    Domain.DLS.set yield f;
+    match (had, f) with
+    | false, Some _ -> Atomic.incr installed
+    | true, None -> Atomic.decr installed
+    | _ -> ()
 
   let set_lost_wakeup b = lost_wakeup := b
 end
 
 let[@inline] yield_point what =
-  match !Hooks.yield with None -> () | Some f -> f what
+  if Atomic.get Hooks.installed > 0 then
+    match Domain.DLS.get Hooks.yield with None -> () | Some f -> f what
 
 (* --------------------------- injector ------------------------------ *)
 
 (* A small closable MPMC used for external submissions and for
    resumptions arriving from threads that are not workers of the
-   target pool.  The sharded [Nd_serve.Mpmc] lives above this library
-   in the dependency graph, and the injector is off the hot path (the
-   hot path is the per-worker deques), so a single mutex-protected
-   FIFO is the right tool: it is also trivially deterministic, which
-   the interleaving explorer relies on. *)
+   target pool.  The injector is off the hot path (the hot path is the
+   per-worker deques), so a single mutex-protected FIFO is the right
+   tool: it is also trivially deterministic, which the interleaving
+   explorer relies on. *)
 module Inject = struct
   type 'a t = {
     lock : Mutex.t;
@@ -186,10 +197,10 @@ let is_fatal = function
   | Out_of_memory | Stack_overflow | Assert_failure _ -> true
   | _ -> false
 
-(* Fiber error policy mirrors Micropool's: fatal runtime exceptions
-   kill the worker (and surface at join); anything else is counted and
-   retained, and additionally aborts the whole run for one-shot
-   program pools. *)
+(* Fiber error policy: fatal runtime exceptions kill the worker (and
+   surface at join), because a pool that has hit one is no longer
+   trustworthy; anything else is counted and retained, and additionally
+   aborts the whole run for one-shot program pools. *)
 let wrap_body (pool : pool) f () =
   try f ()
   with e when not (is_fatal e) ->

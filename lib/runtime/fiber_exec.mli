@@ -111,11 +111,11 @@ val run :
 
 (** {2 Long-lived server pools}
 
-    {!Micropool}-shaped: domains spawn lazily on first {!submit}, each
-    submission runs as a root fiber, errors are counted and retained
-    rather than fatal (except [Out_of_memory]/[Stack_overflow]/
-    [Assert_failure], which kill the worker and re-raise at
-    {!shutdown}'s join). *)
+    Domains spawn lazily on first {!submit} — a pool the traffic never
+    touches pays nothing — and each submission runs as a root fiber.
+    Errors are counted and retained rather than fatal (except
+    [Out_of_memory]/[Stack_overflow]/[Assert_failure], which kill the
+    worker and re-raise at {!shutdown}'s join). *)
 
 val create : ?workers:int -> ?name:string -> unit -> t
 
@@ -175,7 +175,9 @@ module Hooks : sig
   (** Preemption callback invoked between the load and the store of
       the promise park ("await-park") and take ("fulfill-take")
       transitions — the explorer performs an effect there to schedule
-      around the exact windows where a lost wake-up could hide. *)
+      around the exact windows where a lost wake-up could hide.  Like
+      {!Deque.Hooks.set_yield} it applies to the calling domain
+      only. *)
   val set_yield : (string -> unit) option -> unit
 
   (** [set_lost_wakeup true] replaces the park's compare-and-set with a

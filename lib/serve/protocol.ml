@@ -101,6 +101,12 @@ let get_int_opt j key =
   | Some _ -> fail "field %S must be an integer" key
   | None -> None
 
+(* sign bounds only: a negative count or a zero size is never a valid
+   request, whatever it would cost *)
+let at_least lo key v =
+  if v < lo then fail "field %S must be >= %d (got %d)" key lo v;
+  v
+
 let get_bool_default j key default =
   match Json.member key j with
   | Some (Json.Bool b) -> b
@@ -116,11 +122,14 @@ let get_string j key =
 let wk_of_json j =
   {
     algo = get_string j "algo";
-    n = get_int_opt j "n";
-    base = get_int_opt j "base";
+    n = Option.map (at_least 1 "n") (get_int_opt j "n");
+    base = Option.map (at_least 1 "base") (get_int_opt j "base");
     seed = (match get_int_opt j "seed" with Some s -> s | None -> 42);
     np = get_bool_default j "np" false;
   }
+
+let get_top j =
+  match get_int_opt j "top" with Some t -> at_least 1 "top" t | None -> 1
 
 let request_of_json j =
   (match j with Json.Obj _ -> () | _ -> fail "request must be an object");
@@ -134,23 +143,23 @@ let request_of_json j =
       Analyze
         {
           wk = wk_of_json j;
-          top = (match get_int_opt j "top" with Some t -> t | None -> 1);
+          top = get_top j;
         }
     | "simulate" ->
       Simulate
         {
           wk = wk_of_json j;
-          top = (match get_int_opt j "top" with Some t -> t | None -> 1);
+          top = get_top j;
           fine = get_bool_default j "fine" false;
         }
     | "fuzz" ->
       Fuzz
         {
-          count = get_int j "count";
+          count = at_least 0 "count" (get_int j "count");
           seed = (match get_int_opt j "seed" with Some s -> s | None -> 42);
           max_depth =
             (match get_int_opt j "max_depth" with
-            | Some d -> d
+            | Some d -> at_least 0 "max_depth" d
             | None -> Nd_check.Gen.default_params.max_depth);
         }
     | "suite" -> Suite { exp = get_string j "exp" }

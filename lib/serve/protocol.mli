@@ -38,7 +38,7 @@ type request =
           [top] root caches *)
   | Fuzz of { count : int; seed : int; max_depth : int }
   | Suite of { exp : string }  (** one experiment table, e.g. ["e1"] *)
-  | Stats  (** latency histograms, cache and pool counters *)
+  | Stats  (** latency histograms, cache and fiber-pool counters *)
   | Shutdown
 
 type envelope = { id : int; req : request }
@@ -46,7 +46,9 @@ type envelope = { id : int; req : request }
 type response = { id : int; result : (Nd_util.Json.t, string) result }
 
 (** Raised by the [of_json] decoders on a structurally invalid message
-    (unknown kind, missing or ill-typed field). *)
+    (unknown kind, missing or ill-typed field) or a request field outside
+    its sign bound: [count] and [max_depth] must be [>= 0], and [top],
+    [n] and [base] [>= 1].  The message names the field. *)
 exception Protocol_error of string
 
 (** All request kinds, in a fixed order — the index is used to key

@@ -5,37 +5,32 @@
 
     Topology (see DESIGN.md section 11): one accept loop; one reader
     thread per connection decoding length-prefixed
-    {!Nd_util.Json.Frame}s; decoded requests are enqueued on the
-    sharded {!Mpmc} queue of the micropool owning their kind
-    ([analyze] for lint/race, [simulate] for simulate/suite, [fuzz]
-    for fuzz); pool domains execute and write the response frame back
-    under the connection's write lock (responses may therefore
-    interleave across requests — clients match on [id]).  [ping],
+    {!Nd_util.Json.Frame}s; every decoded request except [ping],
+    [stats] and [shutdown] is submitted as a root fiber to one shared
+    {!Nd_runtime.Fiber_exec} pool of [workers] domains, which execute
+    it and write the response frame back under the connection's write
+    lock (responses may therefore interleave across requests — clients
+    match on [id]).  A handler that parks on a promise frees its worker
+    for other requests.  At most [max 1 (workers - 1)] [fuzz] and
+    [suite] requests run at once; the rest park until one finishes, so
+    with two or more workers the other kinds always keep one.  [ping],
     [stats] and [shutdown] are answered inline by the reader thread.
 
     Per-request latency (decode to response written, queue wait
-    included) is recorded in a per-worker per-kind
-    {!Nd_util.Histogram} and merged on demand by the [stats]
-    request. *)
+    included) is recorded in one mutex-guarded {!Nd_util.Histogram}
+    per request kind, whichever thread answered it, and snapshotted by
+    the [stats] request. *)
 
 type config = {
   addr : Protocol.addr;
-  pool_sizes : (string * int) list;
-      (** overrides for the [analyze]/[simulate]/[fuzz] pools; default
-          size for each is [max 1 (Executor.default_workers () / 2)] *)
-  shards : int;  (** request-queue shards per pool *)
+  workers : int;
+      (** domains in the fiber pool (clamped to [>= 1]); default
+          {!Nd_runtime.Executor.default_workers}, which honours
+          [NDSIM_WORKERS].  They spawn on the first pooled request. *)
   max_frame : int;  (** reject frames above this many payload bytes *)
   program_cache_cap : int;  (** compiled-workload entries *)
   result_cache_cap : int;  (** entries per result cache *)
   quiet : bool;
-  fiber_pool : int option;
-      (** [Some w]: run every pooled request as a fiber on one shared
-          [w]-worker {!Nd_runtime.Fiber_exec} pool instead of the named
-          micropools (which then exist but never start).  Handlers may
-          use {!Nd_runtime.Fiber_exec.spawn}/[await] internally; a
-          parked handler frees its worker for other requests.  Latency
-          histograms are then keyed by kind only — a resumed fiber may
-          finish on any worker. *)
 }
 
 val default_config : Protocol.addr -> config
@@ -45,7 +40,7 @@ val default_config : Protocol.addr -> config
 val standard_machine : top:int -> Nd_pmh.Pmh.t
 
 (** [run config] — bind, serve until a [shutdown] request (or
-    SIGINT/SIGTERM), drain the pools, clean up the socket.  Blocks for
-    the server's whole life; returns on clean shutdown.
+    SIGINT/SIGTERM), drain the fiber pool, clean up the socket.  Blocks
+    for the server's whole life; returns on clean shutdown.
     @raise Unix.Unix_error when the address cannot be bound. *)
 val run : config -> unit

@@ -59,11 +59,11 @@ val bucket_total : t -> int
     [bucket_total] always equals [count] for a race-free histogram. *)
 val to_json : t -> Json.t
 
-(** Mutex-guarded histogram for slots written by one domain and read
-    by another (the server's per-worker latency slots).  [record] locks
-    per call — a couple of shifts plus an uncontended lock, still cheap
-    enough for the request path; readers take a consistent {!copy}
-    under the same lock. *)
+(** Mutex-guarded histogram for slots written and read from several
+    threads and domains at once (the server's per-kind latency
+    histograms).  [record] locks per call — a couple of shifts under a
+    briefly held lock, still cheap enough for the request path; readers
+    take a consistent {!copy} under the same lock. *)
 module Sync : sig
   type histogram = t
 
@@ -75,7 +75,4 @@ module Sync : sig
 
   (** A private, consistent copy — safe to read lock-free. *)
   val snapshot : t -> histogram
-
-  (** Merge a consistent view of [t] into the (caller-private) [into]. *)
-  val merge_into : into:histogram -> t -> unit
 end

@@ -179,6 +179,41 @@ let test_explore_deque_healthy () =
   | Ok _ -> ()
   | Error f -> Alcotest.failf "exhaustive: %a" Explore.pp_failure f
 
+(* The yield hooks belong to the exploring domain: another domain
+   running real deques and promises meanwhile never calls them (while
+   they were process-global, it performed the explorer's effect with
+   no handler installed and died with [Effect.Unhandled]), and the
+   exploration itself is unaffected. *)
+let test_explore_hooks_domain_local () =
+  let stop = Atomic.make false and started = Atomic.make false in
+  let bystander =
+    Domain.spawn (fun () ->
+        let d = Deque.create () in
+        Atomic.set started true;
+        let rec go i =
+          Deque.push d i;
+          ignore (Deque.pop d : int option);
+          Fiber.fulfill (Fiber.promise ()) ();
+          if not (Atomic.get stop) then go (i + 1)
+        in
+        match go 0 with
+        | () -> None
+        | exception e -> Some (Printexc.to_string e))
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let explored =
+    Explore.explore_deque ~mode:(Explore.Random { seeds = explore_seeds }) ()
+  in
+  Atomic.set stop true;
+  (match Domain.join bystander with
+  | None -> ()
+  | Some e -> Alcotest.failf "bystander domain: %s" e);
+  match explored with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "random walk: %a" Explore.pp_failure f
+
 (* Mutation smoke test: re-enable the retired-buffer recycling bug
    (PR 2 hardened this path) and require the explorer to find it within
    a fixed seed range — i.e. the harness detects the bug class it was
@@ -317,6 +352,8 @@ let () =
           Alcotest.test_case "engine: random + exhaustive" `Quick
             test_explore_program;
           Alcotest.test_case "deque: healthy" `Quick test_explore_deque_healthy;
+          Alcotest.test_case "hooks stay on the exploring domain" `Quick
+            test_explore_hooks_domain_local;
           Alcotest.test_case "deque: seeded mutation is found" `Quick
             test_explore_deque_mutation;
           Alcotest.test_case "fiber: random + exhaustive" `Quick

@@ -1,13 +1,10 @@
-(* Nd_serve: framing, protocol codec, sharded queue, micropools, keyed
-   LRU caches, the latency histogram, the thread-safety of the shared
-   decompose memo, and an end-to-end daemon round-trip over a unix
-   socket. *)
+(* Nd_serve: framing, protocol codec, keyed LRU caches, the latency
+   histogram, the thread-safety of the shared decompose memo, and an
+   end-to-end daemon round-trip over a unix socket. *)
 
 module Json = Nd_util.Json
 module Histogram = Nd_util.Histogram
 module P = Nd_serve.Protocol
-module Mpmc = Nd_serve.Mpmc
-module Micropool = Nd_serve.Micropool
 module Cache = Nd_serve.Cache
 module Server = Nd_serve.Server
 module Client = Nd_serve.Client
@@ -104,13 +101,14 @@ let test_hist_sync_hammer () =
   let final = Histogram.Sync.snapshot h in
   Alcotest.(check int) "exact count" (n_writers * per) (Histogram.count final);
   Alcotest.(check int) "count = bucket total" (Histogram.count final)
-    (Histogram.bucket_total final);
-  (* merge_into sees the same totals *)
-  let m = Histogram.create () in
-  Histogram.Sync.merge_into ~into:m h;
-  Alcotest.(check int) "merge count" (n_writers * per) (Histogram.count m)
+    (Histogram.bucket_total final)
 
 (* -------------------------- protocol codec -------------------------- *)
+
+let contains ~sub s =
+  let ls = String.length sub and l = String.length s in
+  let rec scan i = i + ls <= l && (String.sub s i ls = sub || scan (i + 1)) in
+  scan 0
 
 let wk : P.workload_key =
   { algo = "mm"; n = Some 16; base = Some 4; seed = 42; np = false }
@@ -175,6 +173,44 @@ let test_protocol_rejects () =
             ("kind", Json.String "lint");
             ("algo", Json.Int 3);
           ]))
+
+(* regression: a negative fuzz [count] used to decode and come back as
+   [cases: -5]; sign bounds are now checked at decode, and the error
+   names the offending field *)
+let test_protocol_sign_bounds () =
+  let req fields = Json.Obj (("id", Json.Int 1) :: fields) in
+  let wk_req kind extra =
+    req ([ ("kind", Json.String kind); ("algo", Json.String "mm") ] @ extra)
+  in
+  let rejects name field j =
+    match P.request_of_json j with
+    | exception P.Protocol_error msg ->
+      let quoted = Printf.sprintf "%S" field in
+      if not (contains ~sub:quoted msg) then
+        Alcotest.failf "%s: message does not name %s: %s" name quoted msg
+    | _ -> Alcotest.failf "%s: decoded" name
+  in
+  let fuzz extra =
+    req ([ ("kind", Json.String "fuzz"); ("count", Json.Int 3) ] @ extra)
+  in
+  rejects "negative count" "count"
+    (req [ ("kind", Json.String "fuzz"); ("count", Json.Int (-5)) ]);
+  rejects "negative max_depth" "max_depth"
+    (fuzz [ ("max_depth", Json.Int (-1)) ]);
+  rejects "zero top (analyze)" "top" (wk_req "analyze" [ ("top", Json.Int 0) ]);
+  rejects "zero top (simulate)" "top"
+    (wk_req "simulate" [ ("top", Json.Int 0) ]);
+  rejects "zero n" "n" (wk_req "lint" [ ("n", Json.Int 0) ]);
+  rejects "negative base" "base" (wk_req "race" [ ("base", Json.Int (-4)) ]);
+  (* the boundary values themselves are valid *)
+  List.iter
+    (fun j -> ignore (P.request_of_json j))
+    [
+      req [ ("kind", Json.String "fuzz"); ("count", Json.Int 0) ];
+      fuzz [ ("max_depth", Json.Int 0) ];
+      wk_req "simulate" [ ("top", Json.Int 1); ("n", Json.Int 1) ];
+      wk_req "lint" [ ("base", Json.Int 1) ];
+    ]
 
 (* ----------------------------- framing ------------------------------ *)
 
@@ -271,204 +307,6 @@ let test_frame_random_bytes_no_crash =
           | exception Json.Frame.Error _ -> true
       in
       drain 0)
-
-(* ------------------------------ mpmc -------------------------------- *)
-
-let test_mpmc_exactly_once () =
-  let q = Mpmc.create ~shards:4 () in
-  let n_producers = 4 and per = 500 in
-  let popped = Array.make (n_producers * per) 0 in
-  let producers =
-    List.init n_producers (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              Mpmc.push q ((p * per) + i)
-            done))
-  in
-  let consumers =
-    List.init 3 (fun _ ->
-        Domain.spawn (fun () ->
-            let rec go acc =
-              match Mpmc.pop q with
-              | Some v -> go (v :: acc)
-              | None -> acc
-            in
-            go []))
-  in
-  List.iter Domain.join producers;
-  Mpmc.close q;
-  let taken = List.concat_map Domain.join consumers in
-  List.iter (fun v -> popped.(v) <- popped.(v) + 1) taken;
-  Alcotest.(check int) "all items popped" (n_producers * per)
-    (List.length taken);
-  Array.iteri
-    (fun v c ->
-      if c <> 1 then
-        Alcotest.failf "item %d delivered %d times (want exactly once)" v c)
-    popped
-
-let test_mpmc_close_semantics () =
-  let q = Mpmc.create ~shards:2 () in
-  Mpmc.push q 1;
-  Mpmc.push q 2;
-  Mpmc.close q;
-  Alcotest.(check bool) "push after close raises" true
-    (match Mpmc.push q 3 with exception Mpmc.Closed -> true | _ -> false);
-  (* closed queues drain before returning None *)
-  let a = Mpmc.pop q and b = Mpmc.pop q in
-  Alcotest.(check bool) "drained both" true
-    (List.sort compare [ a; b ] = [ Some 1; Some 2 ]);
-  Alcotest.(check bool) "then None" true (Mpmc.pop q = None);
-  Alcotest.(check bool) "try_pop None" true (Mpmc.try_pop q = None)
-
-(* regression for the cursor overflow: fetch_and_add wraps past max_int
-   to min_int, and a negative counter mod n_shards is negative, so the
-   shard lookup raised Invalid_argument.  The cursors are now masked
-   with [land max_int]; pre-seed them at the brink and run enough
-   traffic to cross the wrap on every shard. *)
-let test_mpmc_cursor_wrap () =
-  let q = Mpmc.create ~shards:4 () in
-  Mpmc.unsafe_set_cursors q (max_int - 2);
-  let n = 64 in
-  let seen = Array.make n 0 in
-  for i = 0 to n - 1 do
-    Mpmc.push q i
-  done;
-  let rec drain () =
-    match Mpmc.try_pop q with
-    | Some v ->
-      seen.(v) <- seen.(v) + 1;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Array.iteri
-    (fun v c ->
-      if c <> 1 then
-        Alcotest.failf "item %d delivered %d times across the wrap" v c)
-    seen;
-  (* and under contention: two producers and a consumer racing over the
-     wrap point must still deliver exactly once *)
-  let q = Mpmc.create ~shards:2 () in
-  Mpmc.unsafe_set_cursors q (max_int - 1);
-  let per = 1_000 in
-  let producers =
-    List.init 2 (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              Mpmc.push q ((p * per) + i)
-            done))
-  in
-  let consumer =
-    Domain.spawn (fun () ->
-        let rec go acc =
-          match Mpmc.pop q with Some v -> go (v :: acc) | None -> acc
-        in
-        go [])
-  in
-  List.iter Domain.join producers;
-  Mpmc.close q;
-  let taken = Domain.join consumer in
-  Alcotest.(check int) "all delivered across wrap" (2 * per)
-    (List.length taken);
-  Alcotest.(check int) "no duplicates" (2 * per)
-    (List.length (List.sort_uniq compare taken))
-
-(* Regression for the lost-job race: [push] used to check [closed]
-   without the lock, enqueue into its shard, and only then take [glock]
-   to publish [avail].  A [close] landing in that window let consumers
-   observe [avail = 0 && closed], drain out and get joined — stranding
-   the already-enqueued job forever.  The fix makes closed-check +
-   enqueue + publish one atomic step under [glock], so every push
-   either raises [Closed] or is eventually consumed: accepted pushes
-   and consumed items must balance exactly on every round. *)
-let test_mpmc_push_vs_close_race () =
-  let rounds = 60 in
-  for round = 1 to rounds do
-    let q = Mpmc.create ~shards:2 () in
-    let accepted = Atomic.make 0 in
-    let producers =
-      List.init 2 (fun _ ->
-          Domain.spawn (fun () ->
-              try
-                while true do
-                  Mpmc.push q ();
-                  Atomic.incr accepted
-                done
-              with Mpmc.Closed -> ()))
-    in
-    let consumers =
-      List.init 2 (fun _ ->
-          Domain.spawn (fun () ->
-              let rec go n =
-                match Mpmc.pop q with Some () -> go (n + 1) | None -> n
-              in
-              go 0))
-    in
-    (* let the producers get going, then slam the door mid-stream *)
-    for _ = 1 to 100 * round do
-      Domain.cpu_relax ()
-    done;
-    Mpmc.close q;
-    List.iter Domain.join producers;
-    let consumed = List.fold_left (fun a d -> a + Domain.join d) 0 consumers in
-    let accepted = Atomic.get accepted in
-    if accepted <> consumed then
-      Alcotest.failf "round %d lost %d job(s): %d accepted, %d consumed" round
-        (accepted - consumed) accepted consumed
-  done
-
-(* ---------------------------- micropool ----------------------------- *)
-
-let test_micropool_lazy_and_exact () =
-  let pool = Micropool.create ~name:"t" ~size:2 () in
-  Alcotest.(check bool) "not started before submit" false
-    (Micropool.started pool);
-  let hits = Atomic.make 0 in
-  for _ = 1 to 200 do
-    Micropool.submit pool (fun ~wid ->
-        assert (wid >= 0 && wid < 2);
-        Atomic.incr hits)
-  done;
-  Alcotest.(check bool) "started after submit" true (Micropool.started pool);
-  Micropool.shutdown pool;
-  Alcotest.(check int) "all jobs ran" 200 (Atomic.get hits);
-  Alcotest.(check int) "executed counter" 200 (Micropool.executed pool);
-  Alcotest.(check int) "no errors" 0 (Micropool.errors pool)
-
-let test_micropool_survives_errors () =
-  let pool = Micropool.create ~name:"t" ~size:1 () in
-  let ok = Atomic.make 0 in
-  Micropool.submit pool (fun ~wid:_ -> failwith "boom");
-  Micropool.submit pool (fun ~wid:_ -> Atomic.incr ok);
-  Micropool.shutdown pool;
-  Alcotest.(check int) "job after error still ran" 1 (Atomic.get ok);
-  Alcotest.(check int) "error counted" 1 (Micropool.errors pool)
-
-let test_micropool_error_accounting () =
-  let pool = Micropool.create ~name:"t" ~size:1 () in
-  Alcotest.(check (option string)) "no error yet" None
-    (Micropool.last_error pool);
-  Micropool.submit pool (fun ~wid:_ -> failwith "boom-kaboom");
-  Micropool.submit pool (fun ~wid:_ -> ());
-  Micropool.submit pool (fun ~wid:_ -> failwith "boom-kaboom");
-  Micropool.submit pool (fun ~wid:_ -> ());
-  Micropool.shutdown pool;
-  Alcotest.(check int) "executed counts successes only" 2
-    (Micropool.executed pool);
-  Alcotest.(check int) "errors counted" 2 (Micropool.errors pool);
-  match Micropool.last_error pool with
-  | Some msg ->
-    let contains ~sub s =
-      let ls = String.length sub and lm = String.length s in
-      let rec scan i =
-        i + ls <= lm && (String.sub s i ls = sub || scan (i + 1))
-      in
-      scan 0
-    in
-    if not (contains ~sub:"boom-kaboom" msg) then
-      Alcotest.failf "last_error lacks the message: %s" msg
-  | None -> Alcotest.fail "last_error not retained"
 
 (* ------------------------------ cache ------------------------------- *)
 
@@ -622,12 +460,44 @@ let member_exn name j =
   | Some v -> v
   | None -> Alcotest.failf "response lacks %S: %s" name (Json.to_string j)
 
+let int_exn name j =
+  match member_exn name j with
+  | Json.Int i -> i
+  | v -> Alcotest.failf "%S is not an int: %s" name (Json.to_string v)
+
+(* A pooled request's latency is recorded right after its response is
+   written, so a client can see the response first; poll [stats] until
+   every earlier request is in a histogram.  [requests] also counts the
+   [stats] call in flight, whose own latency is not recorded yet. *)
+let settled_stats conn =
+  let sum_counts stats =
+    match member_exn "latency_ns" stats with
+    | Json.Obj kinds ->
+      List.fold_left (fun acc (_, h) -> acc + int_exn "count" h) 0 kinds
+    | j -> Alcotest.failf "latency_ns is not an object: %s" (Json.to_string j)
+  in
+  let rec go tries =
+    let stats = Client.call_exn conn P.Stats in
+    if sum_counts stats = int_exn "requests" stats - 1 then stats
+    else if tries = 0 then
+      Alcotest.failf "per-kind latency counts sum to %d, requests - 1 = %d"
+        (sum_counts stats)
+        (int_exn "requests" stats - 1)
+    else begin
+      Unix.sleepf 0.01;
+      go (tries - 1)
+    end
+  in
+  go 200
+
+(* the default configuration, with every pooled request running as a
+   fiber on the one shared pool *)
 let test_server_end_to_end () =
   let sock_path = fresh_sock_path "e2e" in
   let cfg =
     {
       (Server.default_config (P.Unix_path sock_path)) with
-      Server.pool_sizes = [ ("analyze", 1); ("simulate", 1); ("fuzz", 1) ];
+      Server.workers = 2;
       quiet = true;
     }
   in
@@ -637,6 +507,12 @@ let test_server_end_to_end () =
   (* ping *)
   let pong = Client.call_exn conn P.Ping in
   Alcotest.(check bool) "pong" true (member_exn "pong" pong = Json.Bool true);
+  (* a stats reply counts itself among the requests; the fiber pool has
+     not spawned its domains yet *)
+  let stats0 = Client.call_exn conn P.Stats in
+  Alcotest.(check int) "requests so far" 2 (int_exn "requests" stats0);
+  Alcotest.(check bool) "fiber pool idle" true
+    (member_exn "started" (member_exn "fiber_pool" stats0) = Json.Bool false);
   (* lint a clean workload, twice: the second hit must come from cache *)
   let lint1 = Client.call_exn conn (P.Lint wk) in
   Alcotest.(check bool) "lint clean" true
@@ -665,7 +541,8 @@ let test_server_end_to_end () =
   let ana2 = Client.call_exn conn (P.Analyze { wk; top = 1 }) in
   Alcotest.(check string) "analyze deterministic" (Json.to_string ana)
     (Json.to_string ana2);
-  (* errors come back as error responses, not dead connections *)
+  (* errors come back as error responses, not dead connections, and the
+     pool stays intact for the next request *)
   (match
      (Client.call conn (P.Lint { wk with algo = "nope" })).P.result
    with
@@ -673,96 +550,60 @@ let test_server_end_to_end () =
     Alcotest.(check bool) "unknown algo mentions name" true
       (String.length msg > 0)
   | Ok _ -> Alcotest.fail "lint of unknown algorithm succeeded");
-  (* stats: lint cache must show at least one hit, histograms nonzero *)
-  let stats = Client.call_exn conn P.Stats in
-  let lint_cache =
-    Json.to_list (member_exn "caches" stats)
-    |> List.find (fun c -> member_exn "name" c = Json.String "lint")
-  in
-  (match member_exn "hits" lint_cache with
-  | Json.Int h when h >= 1 -> ()
-  | j -> Alcotest.failf "lint cache hits: %s" (Json.to_string j));
-  (* the second analyze call above must have hit the analyze cache *)
-  let cost_cache =
-    Json.to_list (member_exn "caches" stats)
-    |> List.find (fun c -> member_exn "name" c = Json.String "analyze")
-  in
-  (match member_exn "hits" cost_cache with
-  | Json.Int h when h >= 1 -> ()
-  | j -> Alcotest.failf "analyze cache hits: %s" (Json.to_string j));
-  (match member_exn "lint" (member_exn "latency_ns" stats) with
-  | j -> (
-    match member_exn "count" j with
-    | Json.Int c when c >= 2 -> ()
-    | k -> Alcotest.failf "lint latency count: %s" (Json.to_string k)));
-  (* pipelined burst: ids must all come back *)
-  let ids = List.init 20 (fun _ -> Client.send conn P.Ping) in
-  let got = List.init 20 (fun _ -> (Client.recv conn).P.id) in
-  Alcotest.(check bool) "pipelined ids all answered" true
-    (List.sort compare ids = List.sort compare got);
-  (* shutdown: acknowledged, then the daemon exits and cleans up *)
-  let bye = Client.call_exn conn P.Shutdown in
-  Alcotest.(check bool) "stopping" true
-    (member_exn "stopping" bye = Json.Bool true);
-  Client.close conn;
-  Thread.join server;
-  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock_path)
-
-(* the fiber-pool dispatch path: handlers run as effect-handler fibers
-   on one shared pool instead of the named micropools.  Same protocol
-   behavior as the micropool path, plus the fiber pool's own stats
-   section — and the micropools must never have started. *)
-let test_server_fiber_pool () =
-  let sock_path = fresh_sock_path "fiber" in
-  let cfg =
-    {
-      (Server.default_config (P.Unix_path sock_path)) with
-      Server.pool_sizes = [ ("analyze", 1); ("simulate", 1); ("fuzz", 1) ];
-      quiet = true;
-      fiber_pool = Some 2;
-    }
-  in
-  let server = Thread.create (fun () -> Server.run cfg) () in
-  wait_for_socket sock_path;
-  let conn = Client.connect (P.Unix_path sock_path) in
-  let lint = Client.call_exn conn (P.Lint wk) in
-  Alcotest.(check bool) "lint clean" true
-    (member_exn "errors" lint = Json.Int 0);
-  let race = Client.call_exn conn (P.Race wk) in
-  Alcotest.(check bool) "race-free" true
-    (member_exn "race_free" race = Json.Bool true);
-  (* a pipelined burst through the shared pool: every id answered *)
-  let ids = List.init 50 (fun _ -> Client.send conn (P.Lint wk)) in
-  let got = List.init 50 (fun _ -> (Client.recv conn).P.id) in
-  Alcotest.(check bool) "burst ids all answered" true
-    (List.sort compare ids = List.sort compare got);
-  (* a failing request comes back as an error response, with the pool
-     intact for the next request *)
-  (match (Client.call conn (P.Lint { wk with algo = "nope" })).P.result with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "lint of unknown algorithm succeeded");
   Alcotest.(check bool) "pool alive after error" true
     (member_exn "race_free" (Client.call_exn conn (P.Race wk)) = Json.Bool true);
-  let stats = Client.call_exn conn P.Stats in
+  (* pipelined bursts through the shared pool and the reader thread:
+     every id answered *)
+  let lint_ids = List.init 50 (fun _ -> Client.send conn (P.Lint wk)) in
+  let got = List.init 50 (fun _ -> (Client.recv conn).P.id) in
+  Alcotest.(check bool) "lint burst ids all answered" true
+    (List.sort compare lint_ids = List.sort compare got);
+  let ping_ids = List.init 20 (fun _ -> Client.send conn P.Ping) in
+  let got = List.init 20 (fun _ -> (Client.recv conn).P.id) in
+  Alcotest.(check bool) "pipelined ids all answered" true
+    (List.sort compare ping_ids = List.sort compare got);
+  (* 58 pooled requests so far: 53 lints, 2 races, 1 simulate,
+     2 analyzes *)
+  let pooled = 58 in
+  let stats = settled_stats conn in
+  (* caches: the repeated lint and analyze calls must have hit *)
+  let cache_hits name =
+    Json.to_list (member_exn "caches" stats)
+    |> List.find (fun c -> member_exn "name" c = Json.String name)
+    |> int_exn "hits"
+  in
+  Alcotest.(check bool) "lint cache hit" true (cache_hits "lint" >= 1);
+  Alcotest.(check bool) "analyze cache hit" true (cache_hits "analyze" >= 1);
+  Alcotest.(check int) "one error response" 1 (int_exn "errors" stats);
   let fp = member_exn "fiber_pool" stats in
   Alcotest.(check bool) "fiber pool started" true
     (member_exn "started" fp = Json.Bool true);
-  (match member_exn "fibers" fp with
-  | Json.Int n when n >= 54 -> ()
-  | j -> Alcotest.failf "fiber count too low: %s" (Json.to_string j));
+  Alcotest.(check int) "fiber pool size" 2 (int_exn "workers" fp);
+  Alcotest.(check int) "one fiber per pooled request" pooled
+    (int_exn "fibers" fp);
   (* handler errors are protocol-level responses, not fiber errors *)
-  Alcotest.(check bool) "no fiber-level errors" true
-    (member_exn "errors" fp = Json.Int 0);
-  (* latency histograms keyed by kind despite worker migration *)
-  (match member_exn "count" (member_exn "lint" (member_exn "latency_ns" stats))
-   with
-  | Json.Int c when c >= 51 -> ()
-  | j -> Alcotest.failf "lint latency count: %s" (Json.to_string j));
-  (* the micropools exist but never started *)
-  Json.to_list (member_exn "pools" stats)
-  |> List.iter (fun pj ->
-         Alcotest.(check bool) "micropool idle" true
-           (member_exn "started" pj = Json.Bool false));
+  Alcotest.(check int) "no fiber-level errors" 0 (int_exn "errors" fp);
+  (* one histogram family: pooled and inline kinds alike, every snapshot
+     consistent *)
+  let lat = member_exn "latency_ns" stats in
+  List.iter
+    (fun (kind, want) ->
+      let h = member_exn kind lat in
+      Alcotest.(check int) (kind ^ " latency count") want (int_exn "count" h))
+    [
+      ("ping", 21); ("lint", 53); ("race", 2); ("simulate", 1); ("analyze", 2);
+      ("stats", int_exn "requests" stats - 1 - pooled - 21);
+    ];
+  (match lat with
+  | Json.Obj kinds ->
+    List.iter
+      (fun (kind, h) ->
+        Alcotest.(check int)
+          (kind ^ " count = bucket_total")
+          (int_exn "count" h) (int_exn "bucket_total" h))
+      kinds
+  | j -> Alcotest.failf "latency_ns is not an object: %s" (Json.to_string j));
+  (* shutdown: acknowledged, then the daemon exits and cleans up *)
   let bye = Client.call_exn conn P.Shutdown in
   Alcotest.(check bool) "stopping" true
     (member_exn "stopping" bye = Json.Bool true);
@@ -780,7 +621,7 @@ let test_two_servers_coexist () =
     let cfg =
       {
         (Server.default_config (P.Unix_path path)) with
-        Server.pool_sizes = [ ("analyze", 1); ("simulate", 1); ("fuzz", 1) ];
+        Server.workers = 1;
         quiet = true;
       }
     in
@@ -810,6 +651,350 @@ let test_two_servers_coexist () =
   Thread.join thread_b;
   Alcotest.(check bool) "b unlinked" false (Sys.file_exists path_b)
 
+(* --------------------- server: the one fiber pool -------------------- *)
+
+(* start a daemon on a fresh socket with [workers] pool domains, run
+   [f] against one client connection, then shut it down and check the
+   clean exit *)
+let with_server ?(workers = 2) tag f =
+  let path = fresh_sock_path tag in
+  let cfg =
+    {
+      (Server.default_config (P.Unix_path path)) with
+      Server.workers;
+      quiet = true;
+    }
+  in
+  let server = Thread.create (fun () -> Server.run cfg) () in
+  wait_for_socket path;
+  let conn = Client.connect (P.Unix_path path) in
+  let v = f conn path in
+  ignore (Client.call_exn conn P.Shutdown);
+  Client.close conn;
+  Thread.join server;
+  Alcotest.(check bool) (tag ^ ": socket unlinked") false (Sys.file_exists path);
+  v
+
+let is_ok (r : P.response) = Result.is_ok r.P.result
+
+(* the default pool size is the executors' default, so NDSIM_WORKERS
+   sizes the daemon too; a value that is not a positive integer is
+   ignored.  The stdlib cannot unset a variable, so an unset one is
+   restored as empty, which reads the same. *)
+let test_server_default_workers () =
+  let prev = Sys.getenv_opt "NDSIM_WORKERS" in
+  let workers_with v =
+    Unix.putenv "NDSIM_WORKERS" v;
+    (Server.default_config (P.Unix_path "unused.sock")).Server.workers
+  in
+  let fallback = max 1 (min 8 (Domain.recommended_domain_count ())) in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "NDSIM_WORKERS" (Option.value prev ~default:""))
+    (fun () ->
+      Alcotest.(check int) "NDSIM_WORKERS=3" 3 (workers_with "3");
+      Alcotest.(check int) "NDSIM_WORKERS=0 ignored" fallback
+        (workers_with "0");
+      Alcotest.(check int) "NDSIM_WORKERS=x ignored" fallback
+        (workers_with "x");
+      Alcotest.(check int) "empty reads as unset" fallback (workers_with ""))
+
+(* a handler that raises yields an error response for that id only;
+   the error is counted by the server, not as a fiber failure, and the
+   pool keeps serving *)
+let test_server_handler_errors () =
+  with_server ~workers:2 "errors" (fun conn _ ->
+      let bad = { wk with algo = "nope" } in
+      let failing =
+        [
+          ("lint", P.Lint bad, "nope");
+          ("race", P.Race bad, "nope");
+          ("analyze", P.Analyze { wk = bad; top = 1 }, "nope");
+          ("simulate", P.Simulate { wk = bad; top = 1; fine = false }, "nope");
+          ("suite", P.Suite { exp = "e99" }, "e99");
+        ]
+      in
+      List.iter
+        (fun (kind, req, name) ->
+          match (Client.call conn req).P.result with
+          | Ok j ->
+            Alcotest.failf "%s of an unknown name succeeded: %s" kind
+              (Json.to_string j)
+          | Error msg ->
+            if not (contains ~sub:name msg) then
+              Alcotest.failf "%s: error does not name %s: %s" kind name msg)
+        failing;
+      Alcotest.(check bool) "pool alive" true
+        (member_exn "race_free" (Client.call_exn conn (P.Race wk))
+        = Json.Bool true);
+      let stats = settled_stats conn in
+      Alcotest.(check int) "error responses" (List.length failing)
+        (int_exn "errors" stats);
+      let fp = member_exn "fiber_pool" stats in
+      Alcotest.(check int) "no fiber errors" 0 (int_exn "errors" fp);
+      Alcotest.(check bool) "no last_error" true
+        (member_exn "last_error" fp = Json.Null);
+      Alcotest.(check int) "every pooled request ran as a fiber"
+        (List.length failing + 1)
+        (int_exn "fibers" fp))
+
+(* raw frames over a plain socket, for requests the client cannot
+   encode *)
+let raw_connect path =
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_UNIX path);
+  (* a lost response fails the test instead of hanging it *)
+  Unix.setsockopt_float fd SO_RCVTIMEO 30.;
+  (fd, Json.Frame.decoder ())
+
+let raw_send (fd, _) j =
+  let s = Json.Frame.encode j in
+  let n = String.length s in
+  let rec go off =
+    if off < n then go (off + Unix.write_substring fd s off (n - off))
+  in
+  go 0
+
+let raw_recv (fd, dec) =
+  let buf = Bytes.create 4096 in
+  let rec go () =
+    match Json.Frame.next dec with
+    | Some j -> P.response_of_json j
+    | None ->
+      let k = Unix.read fd buf 0 (Bytes.length buf) in
+      if k = 0 then Alcotest.fail "server closed the connection";
+      Json.Frame.feed dec buf 0 k;
+      go ()
+  in
+  go ()
+
+(* requests that fail to decode — the sign bounds included — are
+   answered on the wire with the salvaged id and never reach a handler
+   (pre-fix, count -5 came back as [cases: -5]); the connection stays
+   usable *)
+let test_server_decode_errors () =
+  with_server ~workers:1 "decode" (fun conn path ->
+      let raw = raw_connect path in
+      let expect_error id field j =
+        raw_send raw j;
+        let r = raw_recv raw in
+        Alcotest.(check int) (field ^ ": salvaged id") id r.P.id;
+        match r.P.result with
+        | Ok v ->
+          Alcotest.failf "%s: answered %s" field (Json.to_string v)
+        | Error msg ->
+          if not (contains ~sub:(Printf.sprintf "%S" field) msg) then
+            Alcotest.failf "%s: error does not name it: %s" field msg
+      in
+      expect_error 7 "count"
+        (Json.Obj
+           [
+             ("id", Json.Int 7);
+             ("kind", Json.String "fuzz");
+             ("count", Json.Int (-5));
+           ]);
+      expect_error 8 "base"
+        (Json.Obj
+           [
+             ("id", Json.Int 8);
+             ("kind", Json.String "lint");
+             ("algo", Json.String "mm");
+             ("base", Json.Int 0);
+           ]);
+      expect_error 0 "id" (Json.Obj [ ("kind", Json.String "ping") ]);
+      raw_send raw (Json.Obj [ ("id", Json.Int 9); ("kind", Json.String "ping") ]);
+      let pong = raw_recv raw in
+      Alcotest.(check int) "ping id" 9 pong.P.id;
+      Alcotest.(check bool) "connection still serves" true (is_ok pong);
+      Unix.close (fst raw);
+      let stats = Client.call_exn conn P.Stats in
+      (* decode failures are errors but not requests *)
+      Alcotest.(check int) "errors" 3 (int_exn "errors" stats);
+      Alcotest.(check int) "requests: ping + stats" 2
+        (int_exn "requests" stats);
+      Alcotest.(check bool) "no handler ran" true
+        (member_exn "started" (member_exn "fiber_pool" stats)
+        = Json.Bool false))
+
+(* several connections, each its own reader thread, feed the one pool
+   at once: every request answered exactly once, with the right
+   payload, and the per-kind tallies exact *)
+let test_server_concurrent_clients () =
+  let n_clients = 4 and per = 10 in
+  with_server ~workers:2 "clients" (fun conn path ->
+      let client c =
+        let k = Client.connect (P.Unix_path path) in
+        for i = 1 to per do
+          let w = { wk with seed = (c * per) + i } in
+          if i mod 2 = 0 then begin
+            let r = Client.call_exn k (P.Race w) in
+            if member_exn "race_free" r <> Json.Bool true then
+              Alcotest.failf "client %d: race %d not race-free" c i
+          end
+          else begin
+            let r = Client.call_exn k (P.Lint w) in
+            if member_exn "errors" r <> Json.Int 0 then
+              Alcotest.failf "client %d: lint %d has errors" c i
+          end
+        done;
+        Client.close k
+      in
+      List.iter Thread.join
+        (List.init n_clients (fun c -> Thread.create client c));
+      let stats = settled_stats conn in
+      let lat = member_exn "latency_ns" stats in
+      let half = n_clients * per / 2 in
+      Alcotest.(check int) "lint count" half
+        (int_exn "count" (member_exn "lint" lat));
+      Alcotest.(check int) "race count" half
+        (int_exn "count" (member_exn "race" lat));
+      Alcotest.(check int) "no errors" 0 (int_exn "errors" stats);
+      Alcotest.(check int) "one fiber each" (n_clients * per)
+        (int_exn "fibers" (member_exn "fiber_pool" stats)))
+
+(* a fuzz request runs the schedule explorer, which installs deque and
+   fiber yield hooks for its exploration; lints served meanwhile by the
+   pool's other worker run deque operations on another domain and must
+   not see those hooks (pre-fix the hooks were process-global: the
+   other worker performed the explorer's effect outside any handler,
+   its domain died and shutdown re-raised, leaving the socket behind) *)
+let test_server_fuzz_beside_lints () =
+  with_server ~workers:2 "fuzz" (fun conn path ->
+      let fuzz_id =
+        Client.send conn (P.Fuzz { count = 40; seed = 1; max_depth = 4 })
+      in
+      let fuzz_reply = ref None in
+      let waiter =
+        Thread.create (fun () -> fuzz_reply := Some (Client.recv conn)) ()
+      in
+      (* keep the other worker cycling through its deque for as long
+         as the exploration runs: cached lints, pipelined in bursts *)
+      let k = Client.connect (P.Unix_path path) in
+      let lints = ref 0 in
+      while Option.is_none !fuzz_reply do
+        let ids = List.init 20 (fun _ -> Client.send k (P.Lint wk)) in
+        List.iter
+          (fun _ ->
+            let r = Client.recv k in
+            if not (is_ok r) then Alcotest.failf "lint %d failed" r.P.id)
+          ids;
+        lints := !lints + 20
+      done;
+      Client.close k;
+      Thread.join waiter;
+      let r = Option.get !fuzz_reply in
+      Alcotest.(check int) "fuzz id" fuzz_id r.P.id;
+      (match r.P.result with
+      | Ok j -> Alcotest.(check int) "no fuzz failures" 0 (int_exn "failures" j)
+      | Error msg -> Alcotest.failf "fuzz failed: %s" msg);
+      let fp = member_exn "fiber_pool" (settled_stats conn) in
+      Alcotest.(check int) "no fiber errors" 0 (int_exn "errors" fp);
+      Alcotest.(check int) "fuzz + lints ran as fibers" (1 + !lints)
+        (int_exn "fibers" fp))
+
+(* fuzz and suite run at most [workers - 1] at a time: two long fuzz
+   requests queued ahead of a lint on two workers leave it a worker, so
+   the lint is answered first; the second fuzz parks its fiber, not a
+   worker, and runs when the first one releases its slot *)
+let test_server_heavy_gate () =
+  with_server ~workers:2 "gate" (fun conn _ ->
+      let fuzz seed =
+        Client.send conn (P.Fuzz { count = 50; seed; max_depth = 4 })
+      in
+      let f1 = fuzz 1 in
+      let f2 = fuzz 5000 in
+      let lint = Client.send conn (P.Lint { wk with seed = 77 }) in
+      let got = List.init 3 (fun _ -> Client.recv conn) in
+      List.iter
+        (fun (r : P.response) ->
+          if not (is_ok r) then Alcotest.failf "request %d failed" r.P.id)
+        got;
+      Alcotest.(check (list int)) "lint first, then the fuzzes in order"
+        [ lint; f1; f2 ]
+        (List.map (fun (r : P.response) -> r.P.id) got);
+      let fp = member_exn "fiber_pool" (settled_stats conn) in
+      Alcotest.(check bool) "the second fuzz parked" true
+        (int_exn "peak_blocked" fp >= 1);
+      Alcotest.(check int) "nothing left parked" 0 (int_exn "blocked" fp))
+
+(* pooled requests already submitted when [shutdown] arrives are
+   finished and answered before the daemon exits *)
+let test_server_shutdown_drains () =
+  let path = fresh_sock_path "drain" in
+  let cfg =
+    {
+      (Server.default_config (P.Unix_path path)) with
+      Server.workers = 1;
+      quiet = true;
+    }
+  in
+  let server = Thread.create (fun () -> Server.run cfg) () in
+  wait_for_socket path;
+  let conn = Client.connect (P.Unix_path path) in
+  let pooled =
+    List.init 12 (fun i ->
+        Client.send conn (P.Lint { wk with seed = 100 + i }))
+  in
+  let bye = Client.send conn P.Shutdown in
+  let got = List.init 13 (fun _ -> Client.recv conn) in
+  List.iter
+    (fun (r : P.response) ->
+      if not (is_ok r) then Alcotest.failf "request %d failed" r.P.id)
+    got;
+  Alcotest.(check (list int)) "every id answered once"
+    (List.sort compare (bye :: pooled))
+    (List.sort compare (List.map (fun (r : P.response) -> r.P.id) got));
+  Thread.join server;
+  Client.close conn;
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
+
+(* a connection that outlives the daemon's shutdown still gets one
+   answer per request: pooled kinds are refused once the pool has
+   closed, inline kinds are still served *)
+let test_server_requests_after_shutdown () =
+  let path = fresh_sock_path "late" in
+  let cfg =
+    {
+      (Server.default_config (P.Unix_path path)) with
+      Server.workers = 1;
+      quiet = true;
+    }
+  in
+  let server = Thread.create (fun () -> Server.run cfg) () in
+  wait_for_socket path;
+  let conn = Client.connect (P.Unix_path path) in
+  let late = raw_connect path in
+  let ping id =
+    Json.Obj [ ("id", Json.Int id); ("kind", Json.String "ping") ]
+  in
+  (* the reader thread of [late] is running before the shutdown *)
+  raw_send late (ping 1);
+  Alcotest.(check bool) "pong before shutdown" true (is_ok (raw_recv late));
+  ignore (Client.call_exn conn P.Shutdown);
+  Thread.join server;
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path);
+  let ids = List.init 8 (fun i -> 10 + i) in
+  List.iter
+    (fun id ->
+      raw_send late
+        (P.request_to_json
+           { P.id; req = P.Race { wk with seed = 200 + id } }))
+    ids;
+  raw_send late (ping 99);
+  let got = List.init 9 (fun _ -> raw_recv late) in
+  Alcotest.(check (list int)) "every id answered once" (ids @ [ 99 ])
+    (List.sort compare (List.map (fun (r : P.response) -> r.P.id) got));
+  List.iter
+    (fun (r : P.response) ->
+      match r.P.result with
+      | Ok _ when r.P.id = 99 -> ()
+      | Error "server shutting down" when r.P.id <> 99 -> ()
+      | Ok j -> Alcotest.failf "request %d: served %s" r.P.id (Json.to_string j)
+      | Error msg -> Alcotest.failf "request %d: error %s" r.P.id msg)
+    got;
+  Unix.close (fst late);
+  Client.close conn
+
 let () =
   Alcotest.run "nd_serve"
     [
@@ -826,6 +1011,8 @@ let () =
           Alcotest.test_case "round-trip all kinds" `Quick
             test_protocol_roundtrip;
           Alcotest.test_case "rejects malformed" `Quick test_protocol_rejects;
+          Alcotest.test_case "sign bounds at decode" `Quick
+            test_protocol_sign_bounds;
         ] );
       ( "framing",
         [
@@ -836,25 +1023,6 @@ let () =
           Alcotest.test_case "malformed payload" `Quick
             test_frame_malformed_payload;
           QCheck_alcotest.to_alcotest test_frame_random_bytes_no_crash;
-        ] );
-      ( "mpmc",
-        [
-          Alcotest.test_case "exactly-once across domains" `Quick
-            test_mpmc_exactly_once;
-          Alcotest.test_case "close semantics" `Quick test_mpmc_close_semantics;
-          Alcotest.test_case "cursor wrap at max_int" `Quick
-            test_mpmc_cursor_wrap;
-          Alcotest.test_case "push vs close race" `Quick
-            test_mpmc_push_vs_close_race;
-        ] );
-      ( "micropool",
-        [
-          Alcotest.test_case "lazy start, exact execution" `Quick
-            test_micropool_lazy_and_exact;
-          Alcotest.test_case "survives job errors" `Quick
-            test_micropool_survives_errors;
-          Alcotest.test_case "error accounting and last_error" `Quick
-            test_micropool_error_accounting;
         ] );
       ( "cache",
         [
@@ -873,9 +1041,23 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end-to-end" `Quick test_server_end_to_end;
-          Alcotest.test_case "fiber-pool dispatch" `Quick
-            test_server_fiber_pool;
           Alcotest.test_case "two servers coexist" `Quick
             test_two_servers_coexist;
+          Alcotest.test_case "default workers honour NDSIM_WORKERS" `Quick
+            test_server_default_workers;
+          Alcotest.test_case "handler errors are responses" `Quick
+            test_server_handler_errors;
+          Alcotest.test_case "decode errors keep the connection" `Quick
+            test_server_decode_errors;
+          Alcotest.test_case "concurrent clients" `Quick
+            test_server_concurrent_clients;
+          Alcotest.test_case "fuzz beside lints" `Quick
+            test_server_fuzz_beside_lints;
+          Alcotest.test_case "heavy kinds leave a worker free" `Quick
+            test_server_heavy_gate;
+          Alcotest.test_case "shutdown drains submitted work" `Quick
+            test_server_shutdown_drains;
+          Alcotest.test_case "requests after shutdown refused" `Quick
+            test_server_requests_after_shutdown;
         ] );
     ]
