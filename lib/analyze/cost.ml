@@ -1,33 +1,10 @@
 module Is = Nd_util.Interval_set
 module Json = Nd_util.Json
-module Fire_rule = Nd.Fire_rule
-module Pedigree = Nd.Pedigree
+module Drs = Nd.Drs
 module Program = Nd.Program
-module Spawn_tree = Nd.Spawn_tree
 module Strand = Nd.Strand
 module Pmh = Nd_pmh.Pmh
 module Sb = Nd_sched.Sb_sched
-
-(* The structural mirror of Program.compile: same post-order node layout,
-   same fire-arrow rewriting, but no DAG.  Span is a longest-path DP over
-   a DFS {e event} numbering of the tree — one event per leaf, a
-   pre-visit begin event and post-visit end event per Par/Fire, Seq
-   aliasing its first child's begin and last child's end, exactly like
-   the DAG's vertex aliasing.  Every structural edge goes from an
-   earlier event to a later one by construction, and every rewritten
-   fire arrow runs from the source subtree to the sink subtree of some
-   Fire node (the rewriting never escapes them), i.e. also forward in
-   DFS order — so event order is a topological order of the implied DAG
-   and one forward sweep computes the exact critical path. *)
-
-type kind = Leaf of Strand.t | Seq | Par | Fire of string
-
-type node = {
-  kind : kind;
-  children : int array;
-  begin_ev : int;
-  end_ev : int;
-}
 
 (* Hash-consed translation-normalized subtree shapes.  Two nodes share a
    shape iff their subtrees are exact translates of each other (same
@@ -94,161 +71,13 @@ type report = {
   n_shapes : int;
 }
 
-let dummy_node =
-  { kind = Seq; children = [||]; begin_ev = 0; end_ev = 0 }
-
 let dummy_shape =
   { s_children = [||]; s_fp = Is.empty; s_size = 0; s_work = 0; s_peak = 0 }
 
-let analyze ~registry tree =
-  (* ---------------- flatten: nodes, events, structural edges -------- *)
-  let store = ref (Array.make 64 dummy_node) in
-  let n_nodes = ref 0 in
-  let works = ref (Array.make 64 0) in
-  let n_ev = ref 0 in
-  let edges = ref [] in
-  let n_leaves = ref 0 in
-  let add_node node =
-    let id = !n_nodes in
-    if id >= Array.length !store then begin
-      let bigger = Array.make (2 * Array.length !store) dummy_node in
-      Array.blit !store 0 bigger 0 id;
-      store := bigger
-    end;
-    !store.(id) <- node;
-    incr n_nodes;
-    id
-  in
-  let get i = !store.(i) in
-  let new_event w =
-    let id = !n_ev in
-    if id >= Array.length !works then begin
-      let bigger = Array.make (2 * Array.length !works) 0 in
-      Array.blit !works 0 bigger 0 id;
-      works := bigger
-    end;
-    !works.(id) <- w;
-    incr n_ev;
-    id
-  in
-  let add_edge u v = edges := (u, v) :: !edges in
-  let rec build t =
-    match t with
-    | Spawn_tree.Leaf s ->
-      let ev = new_event s.Strand.work in
-      incr n_leaves;
-      add_node
-        { kind = Leaf s; children = [||]; begin_ev = ev; end_ev = ev }
-    | Spawn_tree.Seq cs ->
-      let ids = List.map build cs in
-      let arr = Array.of_list ids in
-      Array.iteri
-        (fun i c ->
-          if i > 0 then add_edge (get arr.(i - 1)).end_ev (get c).begin_ev)
-        arr;
-      let begin_ev = (get arr.(0)).begin_ev in
-      let end_ev = (get arr.(Array.length arr - 1)).end_ev in
-      add_node { kind = Seq; children = arr; begin_ev; end_ev }
-    | Spawn_tree.Par cs ->
-      let begin_ev = new_event 0 in
-      let ids = List.map build cs in
-      let end_ev = new_event 0 in
-      let arr = Array.of_list ids in
-      Array.iter
-        (fun c ->
-          add_edge begin_ev (get c).begin_ev;
-          add_edge (get c).end_ev end_ev)
-        arr;
-      add_node { kind = Par; children = arr; begin_ev; end_ev }
-    | Spawn_tree.Fire { rule; src; snk } ->
-      if not (Fire_rule.mem registry rule) then
-        invalid_arg
-          (Printf.sprintf "Cost.analyze: undefined fire type %S" rule);
-      let begin_ev = new_event 0 in
-      let a = build src in
-      let b = build snk in
-      let end_ev = new_event 0 in
-      add_edge begin_ev (get a).begin_ev;
-      add_edge begin_ev (get b).begin_ev;
-      add_edge (get a).end_ev end_ev;
-      add_edge (get b).end_ev end_ev;
-      add_node
-        { kind = Fire rule; children = [| a; b |]; begin_ev; end_ev }
-  in
-  let root = build tree in
-  let nodes = Array.sub !store 0 !n_nodes in
-  ignore root;
-  (* ---------------- fire-arrow rewriting (mirror of Program) -------- *)
-  let is_leaf id = nodes.(id).children = [||] in
-  let resolve id ped =
-    let rec go id = function
-      | [] -> id
-      | step :: rest ->
-        let cs = nodes.(id).children in
-        if step >= 1 && step <= Array.length cs then go cs.(step - 1) rest
-        else id (* attach at the deepest existing node *)
-    in
-    go id (Pedigree.to_list ped)
-  in
-  let fire_pairs = Hashtbl.create 256 in
-  let full_edge a b =
-    if a <> b then begin
-      let u = nodes.(a).end_ev and v = nodes.(b).begin_ev in
-      if u <> v && not (Hashtbl.mem fire_pairs (a, b)) then begin
-        Hashtbl.add fire_pairs (a, b) ();
-        add_edge u v
-      end
-    end
-  in
-  let visited = Hashtbl.create 4096 in
-  let rec process a b target =
-    match target with
-    | Fire_rule.Full -> full_edge a b
-    | Fire_rule.Named r ->
-      let key = (a, b, r) in
-      if not (Hashtbl.mem visited key) then begin
-        Hashtbl.add visited key ();
-        let rules =
-          try Fire_rule.find registry r
-          with Not_found ->
-            invalid_arg
-              (Printf.sprintf "Cost.analyze: undefined fire type %S" r)
-        in
-        if rules <> [] then
-          if is_leaf a && is_leaf b then full_edge a b
-          else
-            List.iter
-              (fun { Fire_rule.src; via; dst } ->
-                let a' = resolve a src and b' = resolve b dst in
-                match via with
-                | Fire_rule.Full -> full_edge a' b'
-                | Fire_rule.Named r' ->
-                  if a' = a && b' = b && r' = r then
-                    (* no structural progress: conservative full edge *)
-                    full_edge a b
-                  else process a' b' via)
-              rules
-      end
-  in
-  Array.iter
-    (fun n ->
-      match n.kind with
-      | Fire r -> process n.children.(0) n.children.(1) (Fire_rule.Named r)
-      | Leaf _ | Seq | Par -> ())
-    nodes;
-  (* ---------------- span: forward longest-path DP over events ------- *)
-  let n_ev = !n_ev in
-  let works = !works in
-  let succs = Array.make n_ev [] in
-  List.iter (fun (u, v) -> succs.(u) <- v :: succs.(u)) !edges;
-  let dist = Array.make n_ev 0 in
-  let span = ref 0 in
-  for v = 0 to n_ev - 1 do
-    let d = dist.(v) + works.(v) in
-    if d > !span then span := d;
-    List.iter (fun w -> if d > dist.(w) then dist.(w) <- d) succs.(v)
-  done;
-  (* ---------------- shapes: hash-consed translated subtrees --------- *)
+(* Work, footprint, peak and Q* come from the shapes; span and the fire
+   edge count from the DRS skeleton and rewriting. *)
+let of_drs (drs : Drs.t) rw =
+  let n_nodes = Drs.n_nodes drs in
   let shape_ids : int Shape_tbl.t = Shape_tbl.create 256 in
   let shapes = ref (Array.make 64 dummy_shape) in
   let n_shapes = ref 0 in
@@ -271,13 +100,14 @@ let analyze ~registry tree =
       Shape_tbl.add shape_ids key id;
       id
   in
-  let node_shape = Array.make (Array.length nodes) (-1) in
-  let node_min = Array.make (Array.length nodes) 0 in
+  let node_shape = Array.make n_nodes (-1) in
+  let node_min = Array.make n_nodes 0 in
   (* post-order ids: children are interned before their parent *)
   Array.iteri
-    (fun id n ->
-      match n.kind with
-      | Leaf s ->
+    (fun id kind ->
+      let children = drs.children.(id) in
+      match kind with
+      | Drs.Leaf s ->
         let fp = Strand.footprint s in
         let mn =
           match Is.intervals fp with [] -> 0 | (lo, _) :: _ -> lo
@@ -295,7 +125,7 @@ let analyze ~registry tree =
               let size = Is.cardinal nfp in
               { s_children = [||]; s_fp = nfp; s_size = size;
                 s_work = s.Strand.work; s_peak = size })
-      | Seq | Par | Fire _ ->
+      | Drs.Seq | Drs.Par | Drs.Fire _ ->
         let mn =
           Array.fold_left
             (fun acc c ->
@@ -304,7 +134,7 @@ let analyze ~registry tree =
                 match acc with
                 | None -> Some node_min.(c)
                 | Some m -> Some (min m node_min.(c)))
-            None n.children
+            None children
         in
         let mn = match mn with None -> 0 | Some m -> m in
         let deltas =
@@ -314,14 +144,14 @@ let analyze ~registry tree =
                  let s = node_shape.(c) in
                  if Is.is_empty !shapes.(s).s_fp then (s, 0)
                  else (s, node_min.(c) - mn))
-               n.children)
+               children)
         in
         let tag, rule =
-          match n.kind with
-          | Seq -> (0, "")
-          | Par -> (1, "")
-          | Fire r -> (2, r)
-          | Leaf _ -> assert false
+          match kind with
+          | Drs.Seq -> (0, "")
+          | Drs.Par -> (1, "")
+          | Drs.Fire r -> (2, r)
+          | Drs.Leaf _ -> assert false
         in
         node_min.(id) <- mn;
         node_shape.(id) <-
@@ -335,34 +165,38 @@ let analyze ~registry tree =
                 List.fold_left (fun acc (s, _) -> acc + f !shapes.(s)) 0 deltas
               in
               let peak =
-                match n.kind with
-                | Seq ->
+                match kind with
+                | Drs.Seq ->
                   List.fold_left
                     (fun acc (s, _) -> max acc !shapes.(s).s_peak)
                     0 deltas
-                | Par | Fire _ -> sum (fun s -> s.s_peak)
-                | Leaf _ -> assert false
+                | Drs.Par | Drs.Fire _ -> sum (fun s -> s.s_peak)
+                | Drs.Leaf _ -> assert false
               in
-              { s_children = Array.map (fun c -> node_shape.(c)) n.children;
+              { s_children = Array.map (fun c -> node_shape.(c)) children;
                 s_fp = fp; s_size = Is.cardinal fp;
                 s_work = sum (fun s -> s.s_work); s_peak = peak }))
-    nodes;
-  let root_shape = node_shape.(Array.length nodes - 1) in
+    drs.kind;
+  let root_shape = node_shape.(Drs.root drs) in
   let root = !shapes.(root_shape) in
   {
     shapes = Array.sub !shapes 0 !n_shapes;
     root_shape;
     qmemo = Hashtbl.create 64;
     work = root.s_work;
-    span = !span;
+    span = Drs.span drs rw;
     peak = root.s_peak;
     root_size = root.s_size;
-    n_leaves = !n_leaves;
-    n_nodes = Array.length nodes;
-    n_fire_edges = Hashtbl.length fire_pairs;
+    n_leaves = Array.length drs.leaf_nodes;
+    n_nodes;
+    n_fire_edges = Drs.n_pairs rw;
   }
 
-let of_program p = analyze ~registry:(Program.registry p) (Program.tree p)
+let analyze ~registry tree =
+  let drs = Drs.flatten ~registry tree in
+  of_drs drs (Drs.rewrite drs)
+
+let of_program p = of_drs (Program.skeleton p) (Program.rewriting p)
 
 let work (t : t) = t.work
 

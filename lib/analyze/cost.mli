@@ -5,9 +5,9 @@
     work, span {e including fire-edge chains}, peak footprint, and the
     per-level serial cache complexity [Q*(t; M)] — without materializing
     the fine-grained algorithm DAG.  The pass is O(tree nodes + fire
-    edges): span comes from a longest-path DP over a DFS event numbering
-    of the tree (which is a topological order of the DAG the DRS would
-    build, see DESIGN.md §14), and work / footprint / [Q*] are memoized
+    edges): the skeleton and the fire edges are {!Nd.Drs}'s, span is its
+    longest-path DP over the DFS event numbering ({!Nd.Drs.span}, see
+    DESIGN.md §14), and work / footprint / [Q*] are memoized
     per translation-normalized subtree {e shape}, so regular
     divide-and-conquer algorithms pay for each distinct shape once.
 
@@ -40,12 +40,15 @@ type report = {
   n_shapes : int;  (** distinct subtree shapes (memoization classes) *)
 }
 
-(** [analyze ~registry tree] runs the structural pass.
-    @raise Invalid_argument on an undefined fire type (same condition as
-    [Program.compile]). *)
+(** [analyze ~registry tree] flattens and rewrites [tree] with {!Nd.Drs}
+    and runs the structural pass.
+    @raise Invalid_argument on an undefined fire type (the same condition
+    and message as [Program.compile]). *)
 val analyze : registry:Nd.Fire_rule.registry -> Nd.Spawn_tree.t -> t
 
-(** [of_program p] analyzes [p]'s tree against [p]'s registry. *)
+(** [of_program p] runs the structural pass on the skeleton and rewriting
+    [p] was compiled from, without flattening or rewriting again; equal
+    to [analyze ~registry:(Program.registry p) (Program.tree p)]. *)
 val of_program : Nd.Program.t -> t
 
 val report : t -> report

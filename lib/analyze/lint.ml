@@ -3,7 +3,7 @@ module Pedigree = Nd.Pedigree
 module Program = Nd.Program
 module Spawn_tree = Nd.Spawn_tree
 module Rule_check = Nd.Rule_check
-module Dag = Nd_dag.Dag
+module Drs = Nd.Drs
 module Json = Nd_util.Json
 
 (* The linter rule catalogue (IDs are stable; see DESIGN.md §9):
@@ -233,129 +233,57 @@ let lint_tree reg tree =
 
 (* -------------------------- program checks ------------------------- *)
 
-type resolution = Clean | Bottomed | Mismatch
-
-(* mirror of Program.compile's pedigree resolution, but classifying the
-   outcome: [Clean] consumed every step; [Bottomed] stopped at a leaf
-   (the recursion's base case — benign); [Mismatch] asked an internal
-   node for a child it does not have (the rule addresses structure that
-   does not exist). *)
-let resolve program id ped =
-  let rec go id = function
-    | [] -> (id, Clean)
-    | step :: rest ->
-      let cs = Program.children program id in
-      let len = Array.length cs in
-      if len = 0 then (id, Bottomed)
-      else if step >= 1 && step <= len then go cs.(step - 1) rest
-      else (id, Mismatch)
-  in
-  go id (Pedigree.to_list ped)
-
-type rule_stats = {
-  mutable applies : int;
-  mutable cleans : int;
-  mutable bottoms : int;
-}
-
+(* ND002 reads the DRS rule tally: the rewriting classifies every rule
+   application as it resolves it (see [Drs.rule_tally]). *)
 let dead_rules program =
-  let reg = Program.registry program in
-  let stats : (string * int, rule_stats) Hashtbl.t = Hashtbl.create 32 in
-  let get key =
-    match Hashtbl.find_opt stats key with
-    | Some s -> s
-    | None ->
-      let s = { applies = 0; cleans = 0; bottoms = 0 } in
-      Hashtbl.add stats key s;
-      s
-  in
-  let visited = Hashtbl.create 4096 in
-  let is_leaf n = Program.children program n = [||] in
-  let rec process a b = function
-    | Fire_rule.Full -> ()
-    | Fire_rule.Named r ->
-      if not (Hashtbl.mem visited (a, b, r)) then begin
-        Hashtbl.add visited (a, b, r) ();
-        match Fire_rule.find reg r with
-        | exception Not_found -> () (* ND001 covers it *)
-        | [] -> ()
-        | rules ->
-          if not (is_leaf a && is_leaf b) then
-            List.iteri
-              (fun idx rule ->
-                let a', ra = resolve program a rule.Fire_rule.src in
-                let b', rb = resolve program b rule.Fire_rule.dst in
-                let s = get (r, idx) in
-                s.applies <- s.applies + 1;
-                (match (ra, rb) with
-                | Clean, Clean -> s.cleans <- s.cleans + 1
-                | Mismatch, _ | _, Mismatch -> ()
-                | (Bottomed | Clean), (Bottomed | Clean) ->
-                  s.bottoms <- s.bottoms + 1);
-                match rule.Fire_rule.via with
-                | Fire_rule.Full -> ()
-                | Fire_rule.Named r' ->
-                  if not (a' = a && b' = b && r' = r) then
-                    process a' b' rule.Fire_rule.via)
-              rules
-      end
-  in
-  for n = 0 to Program.n_nodes program - 1 do
-    match Program.kind_of program n with
-    | Program.Fire r ->
-      let cs = Program.children program n in
-      process cs.(0) cs.(1) (Fire_rule.Named r)
-    | Program.Leaf _ | Program.Seq | Program.Par -> ()
-  done;
-  Hashtbl.fold
-    (fun (name, idx) s acc ->
-      if s.applies > 0 && s.cleans = 0 && s.bottoms = 0 then
-        let rule = List.nth (Fire_rule.find reg name) idx in
-        finding "ND002" Warning name
-          "rule #%d (%s) is dead: its pedigrees address nonexistent children \
-           at every one of its %d use sites"
-          (idx + 1) (rule_str rule) s.applies
-        :: acc
-      else acc)
-    stats []
+  List.filter_map
+    (fun (t : Drs.rule_tally) ->
+      if t.applied > 0 && t.clean = 0 && t.bottomed = 0 then
+        Some
+          (finding "ND002" Warning t.fire_type
+             "rule #%d (%s) is dead: its pedigrees address nonexistent \
+              children at every one of its %d use sites"
+             (t.index + 1) (rule_str t.rule) t.applied)
+      else None)
+    (Drs.tally (Program.rewriting program))
 
 let fire_eq_seq program =
-  let edges = Hashtbl.create 256 in
-  List.iter
-    (fun (a, b) -> Hashtbl.replace edges (a, b) ())
-    (Program.fire_edges program);
-  let is_leaf n = Program.children program n = [||] in
+  let drs = Program.skeleton program in
+  let rw = Program.rewriting program in
+  let is_leaf n = drs.Drs.children.(n) = [||] in
   let fs = ref [] in
-  for n = 0 to Program.n_nodes program - 1 do
-    match Program.kind_of program n with
-    | Program.Fire r ->
-      let cs = Program.children program n in
-      if
-        Hashtbl.mem edges (cs.(0), cs.(1))
-        && not (is_leaf cs.(0) && is_leaf cs.(1))
-      then
-        fs :=
-          finding "ND006" Warning r
-            "fire node #%d: rule set %S emits a root-to-root full edge, so \
-             the fire construct serializes entirely (fire ≡ seq; span \
-             pessimization)"
-            n r
-          :: !fs
-    | Program.Leaf _ | Program.Seq | Program.Par -> ()
-  done;
+  Array.iteri
+    (fun n kind ->
+      match kind with
+      | Drs.Fire r ->
+        let cs = drs.Drs.children.(n) in
+        if Drs.mem_pair rw cs.(0) cs.(1) && not (is_leaf cs.(0) && is_leaf cs.(1))
+        then
+          fs :=
+            finding "ND006" Warning r
+              "fire node #%d: rule set %S emits a root-to-root full edge, so \
+               the fire construct serializes entirely (fire ≡ seq; span \
+               pessimization)"
+              n r
+            :: !fs
+      | Drs.Leaf _ | Drs.Seq | Drs.Par -> ())
+    drs.Drs.kind;
   List.rev !fs
+
+(* The span of [tree]'s DAG by the DRS event DP — no DAG is built. *)
+let drs_span ~registry tree =
+  let drs = Drs.flatten ~registry tree in
+  Drs.span drs (Drs.rewrite drs)
 
 let no_span_recovered program =
   let tree = Program.tree program in
   if Spawn_tree.fire_types tree = [] then []
   else begin
-    let nd_span = Dag.span (Program.dag program) in
-    let np =
-      Program.compile
-        ~registry:(Program.registry program)
+    let nd_span = Drs.span (Program.skeleton program) (Program.rewriting program) in
+    let np_span =
+      drs_span ~registry:(Program.registry program)
         (Spawn_tree.serialize_fires tree)
     in
-    let np_span = Dag.span (Program.dag np) in
     if nd_span = np_span then
       [
         finding "ND007" Warning "program"
@@ -440,11 +368,8 @@ let lint_span_sweep ~subject ~build sizes =
         let registry, tree = build n in
         if Spawn_tree.fire_types tree = [] then None
         else
-          let nd = Cost.span (Cost.analyze ~registry tree) in
-          let np =
-            Cost.span
-              (Cost.analyze ~registry (Spawn_tree.serialize_fires tree))
-          in
+          let nd = drs_span ~registry tree in
+          let np = drs_span ~registry (Spawn_tree.serialize_fires tree) in
           Some (n, nd, np))
       (List.sort_uniq compare sizes)
   in

@@ -3,21 +3,7 @@ module Dag = Nd_dag.Dag
 
 type node_id = int
 
-type kind = Leaf of Strand.t | Seq | Par | Fire of string
-
-type node = {
-  kind : kind;
-  children : int array;
-  mutable parent : int;
-  first_node : int;  (* lowest node id in the subtree (post-order layout) *)
-  leaf_lo : int;
-  leaf_hi : int;
-  begin_v : int;
-  end_v : int;
-  mutable footprint : Is.t;
-  mutable size : int;
-  mutable work : int;
-}
+type kind = Drs.kind = Leaf of Strand.t | Seq | Par | Fire of string
 
 type decomposition = {
   m : int;
@@ -29,14 +15,16 @@ type decomposition = {
 
 type t = {
   tree : Spawn_tree.t;
-  registry : Fire_rule.registry;
   dag : Dag.t;
-  nodes : node array;
-  root : node_id;
-  leaf_nodes : int array;
+  drs : Drs.t;
+  rewriting : Drs.rewrite;
+  begin_v : int array;
+  end_v : int array;
+  footprint : Is.t array;
+  size : int array;
+  work : int array;
   leaf_vertices : int array;
   vertex_owner : int array;
-  fire_edges : (node_id * node_id) list;
   decomp_cache : (int, decomposition) Hashtbl.t;
   decomp_lock : Mutex.t;
 }
@@ -45,262 +33,92 @@ type t = {
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let dummy_node =
-  {
-    kind = Seq;
-    children = [||];
-    parent = -1;
-    first_node = 0;
-    leaf_lo = 0;
-    leaf_hi = 0;
-    begin_v = 0;
-    end_v = 0;
-    footprint = Is.empty;
-    size = 0;
-    work = 0;
-  }
-
 let compile ~registry tree =
+  let drs = Drs.flatten ~registry tree in
+  let rewriting = Drs.rewrite drs in
+  let n = Drs.n_nodes drs in
   let dag = Dag.create () in
-  let store = ref (Array.make 64 dummy_node) in
-  let n_nodes = ref 0 in
-  let leaf_nodes = ref [] and leaf_vertices = ref [] in
-  let n_leaves = ref 0 in
-  let owners = ref [] in
-  (* owners collected as (vertex, node) pairs; vertices are dense so we
-     rebuild the array at the end *)
-  let add_node node =
-    let id = !n_nodes in
-    if id >= Array.length !store then begin
-      let bigger = Array.make (2 * Array.length !store) dummy_node in
-      Array.blit !store 0 bigger 0 id;
-      store := bigger
-    end;
-    !store.(id) <- node;
-    incr n_nodes;
-    id
+  let begin_v = Array.make n 0 and end_v = Array.make n 0 in
+  let leaf_vertices = Array.make (Array.length drs.leaf_nodes) 0 in
+  (* one vertex per event: a strand per leaf, a begin/end pair per Par
+     and Fire *)
+  let vertex_owner = Array.make (Drs.n_events drs) (-1) in
+  let vertex id ?label ~work ~reads ~writes () =
+    let v = Dag.add_vertex dag ?label ~work ~reads ~writes () in
+    vertex_owner.(v) <- id;
+    v
   in
-  let get i = !store.(i) in
-  let sync label =
-    Dag.add_vertex dag ~label ~work:0 ~reads:Is.empty ~writes:Is.empty ()
+  let sync id label =
+    vertex id ~label ~work:0 ~reads:Is.empty ~writes:Is.empty ()
   in
-  (* Build the spawn-tree structure and the DAG's structural edges.
-     Children are allocated before their parent: post-order ids. *)
-  let rec build t =
-    let first = !n_nodes in
-    match t with
-    | Spawn_tree.Leaf s ->
-      let v =
-        Dag.add_vertex dag ~label:s.Strand.label ~work:s.Strand.work
-          ~reads:s.Strand.reads ~writes:s.Strand.writes ()
-      in
-      let leaf_idx = !n_leaves in
-      incr n_leaves;
-      let id =
-        add_node
-          {
-            kind = Leaf s;
-            children = [||];
-            parent = -1;
-            first_node = first;
-            leaf_lo = leaf_idx;
-            leaf_hi = leaf_idx + 1;
-            begin_v = v;
-            end_v = v;
-            footprint = Is.empty;
-            size = 0;
-            work = 0;
-          }
-      in
-      leaf_nodes := id :: !leaf_nodes;
-      leaf_vertices := v :: !leaf_vertices;
-      owners := (v, id) :: !owners;
-      id
-    | Spawn_tree.Seq cs ->
-      let lo = !n_leaves in
-      let ids = List.map build cs in
-      let hi = !n_leaves in
-      let arr = Array.of_list ids in
-      (* chain: end(c_i) -> begin(c_{i+1}) *)
-      Array.iteri
-        (fun i c ->
-          if i > 0 then Dag.add_edge dag (get arr.(i - 1)).end_v (get c).begin_v)
-        arr;
-      let begin_v = (get arr.(0)).begin_v in
-      let end_v = (get arr.(Array.length arr - 1)).end_v in
-      add_node
-        {
-          kind = Seq;
-          children = arr;
-          parent = -1;
-          first_node = first;
-          leaf_lo = lo;
-          leaf_hi = hi;
-          begin_v;
-          end_v;
-          footprint = Is.empty;
-          size = 0;
-          work = 0;
-        }
-    | Spawn_tree.Par cs ->
-      let lo = !n_leaves in
-      let ids = List.map build cs in
-      let hi = !n_leaves in
-      let arr = Array.of_list ids in
-      let begin_v = sync "par.begin" and end_v = sync "par.end" in
-      Array.iter
-        (fun c ->
-          Dag.add_edge dag begin_v (get c).begin_v;
-          Dag.add_edge dag (get c).end_v end_v)
-        arr;
-      let id =
-        add_node
-          {
-            kind = Par;
-            children = arr;
-            parent = -1;
-            first_node = first;
-            leaf_lo = lo;
-            leaf_hi = hi;
-            begin_v;
-            end_v;
-            footprint = Is.empty;
-            size = 0;
-            work = 0;
-          }
-      in
-      owners := (begin_v, id) :: (end_v, id) :: !owners;
-      id
-    | Spawn_tree.Fire { rule; src; snk } ->
-      if not (Fire_rule.mem registry rule) then
-        invalid_arg
-          (Printf.sprintf "Program.compile: undefined fire type %S" rule);
-      let lo = !n_leaves in
-      let a = build src in
-      let b = build snk in
-      let hi = !n_leaves in
-      let begin_v = sync ("fire." ^ rule ^ ".begin")
-      and end_v = sync ("fire." ^ rule ^ ".end") in
-      Dag.add_edge dag begin_v (get a).begin_v;
-      Dag.add_edge dag begin_v (get b).begin_v;
-      Dag.add_edge dag (get a).end_v end_v;
-      Dag.add_edge dag (get b).end_v end_v;
-      let id =
-        add_node
-          {
-            kind = Fire rule;
-            children = [| a; b |];
-            parent = -1;
-            first_node = first;
-            leaf_lo = lo;
-            leaf_hi = hi;
-            begin_v;
-            end_v;
-            footprint = Is.empty;
-            size = 0;
-            work = 0;
-          }
-      in
-      owners := (begin_v, id) :: (end_v, id) :: !owners;
-      id
-  in
-  let root = build tree in
-  let nodes = Array.sub !store 0 !n_nodes in
-  (* parents *)
+  (* post-order: a node's children have their vertices before it *)
   Array.iteri
-    (fun id n -> Array.iter (fun c -> nodes.(c).parent <- id) n.children)
-    nodes;
-  (* footprints, sizes, works: ids are post-order, children first *)
-  Array.iter
-    (fun n ->
-      match n.kind with
+    (fun id kind ->
+      let cs = drs.children.(id) in
+      match kind with
       | Leaf s ->
-        n.footprint <- Strand.footprint s;
-        n.size <- Is.cardinal n.footprint;
-        n.work <- s.Strand.work
+        let v =
+          vertex id ~label:s.Strand.label ~work:s.Strand.work
+            ~reads:s.Strand.reads ~writes:s.Strand.writes ()
+        in
+        begin_v.(id) <- v;
+        end_v.(id) <- v;
+        leaf_vertices.(drs.leaf_lo.(id)) <- v
+      | Seq ->
+        for i = 1 to Array.length cs - 1 do
+          Dag.add_edge dag end_v.(cs.(i - 1)) begin_v.(cs.(i))
+        done;
+        begin_v.(id) <- begin_v.(cs.(0));
+        end_v.(id) <- end_v.(cs.(Array.length cs - 1))
+      | Par | Fire _ ->
+        let what =
+          match kind with Fire r -> "fire." ^ r ^ "." | _ -> "par."
+        in
+        let b = sync id (what ^ "begin") in
+        let e = sync id (what ^ "end") in
+        begin_v.(id) <- b;
+        end_v.(id) <- e;
+        (match kind with
+        | Fire _ ->
+          Array.iter (fun c -> Dag.add_edge dag b begin_v.(c)) cs;
+          Array.iter (fun c -> Dag.add_edge dag end_v.(c) e) cs
+        | _ ->
+          Array.iter
+            (fun c ->
+              Dag.add_edge dag b begin_v.(c);
+              Dag.add_edge dag end_v.(c) e)
+            cs))
+    drs.kind;
+  (* footprints, sizes, works: children first *)
+  let footprint = Array.make n Is.empty in
+  let size = Array.make n 0 and work = Array.make n 0 in
+  Array.iteri
+    (fun id kind ->
+      match kind with
+      | Leaf s ->
+        footprint.(id) <- Strand.footprint s;
+        size.(id) <- Is.cardinal footprint.(id);
+        work.(id) <- s.Strand.work
       | Seq | Par | Fire _ ->
-        let fp =
-          Array.fold_left
-            (fun acc c -> Is.union acc nodes.(c).footprint)
-            Is.empty n.children
-        in
-        n.footprint <- fp;
-        n.size <- Is.cardinal fp;
-        n.work <-
-          Array.fold_left (fun acc c -> acc + nodes.(c).work) 0 n.children)
-    nodes;
-  (* ---------------- fire-arrow rewriting ---------------- *)
-  let is_leaf id = nodes.(id).children = [||] in
-  let resolve id ped =
-    let rec go id = function
-      | [] -> id
-      | step :: rest ->
-        let cs = nodes.(id).children in
-        if step >= 1 && step <= Array.length cs then go cs.(step - 1) rest
-        else id (* attach at the deepest existing node *)
-    in
-    go id (Pedigree.to_list ped)
-  in
-  let fire_edges = Hashtbl.create 256 in
-  let full_edge a b =
-    if a <> b then begin
-      let u = nodes.(a).end_v and v = nodes.(b).begin_v in
-      if u <> v then begin
-        Dag.add_edge dag u v;
-        if not (Hashtbl.mem fire_edges (a, b)) then
-          Hashtbl.add fire_edges (a, b) ()
-      end
-    end
-  in
-  let visited = Hashtbl.create 4096 in
-  let rec process a b target =
-    match target with
-    | Fire_rule.Full -> full_edge a b
-    | Fire_rule.Named r ->
-      let key = (a, b, r) in
-      if not (Hashtbl.mem visited key) then begin
-        Hashtbl.add visited key ();
-        let rules =
-          try Fire_rule.find registry r
-          with Not_found ->
-            invalid_arg
-              (Printf.sprintf "Program.compile: undefined fire type %S" r)
-        in
-        if rules <> [] then
-          if is_leaf a && is_leaf b then full_edge a b
-          else
-            List.iter
-              (fun { Fire_rule.src; via; dst } ->
-                let a' = resolve a src and b' = resolve b dst in
-                match via with
-                | Fire_rule.Full -> full_edge a' b'
-                | Fire_rule.Named r' ->
-                  if a' = a && b' = b && r' = r then
-                    (* no structural progress: conservative full edge *)
-                    full_edge a b
-                  else process a' b' via)
-              rules
-      end
-  in
-  Array.iter
-    (fun n ->
-      match n.kind with
-      | Fire r -> process n.children.(0) n.children.(1) (Fire_rule.Named r)
-      | Leaf _ | Seq | Par -> ())
-    nodes;
-  let vertex_owner = Array.make (Dag.n_vertices dag) (-1) in
-  List.iter (fun (v, id) -> vertex_owner.(v) <- id) !owners;
+        let cs = drs.children.(id) in
+        footprint.(id) <-
+          Array.fold_left (fun acc c -> Is.union acc footprint.(c)) Is.empty cs;
+        size.(id) <- Is.cardinal footprint.(id);
+        work.(id) <- Array.fold_left (fun acc c -> acc + work.(c)) 0 cs)
+    drs.kind;
+  Drs.iter_pairs rewriting (fun a b -> Dag.add_edge dag end_v.(a) begin_v.(b));
   {
     tree;
-    registry;
     dag;
-    nodes;
-    root;
-    leaf_nodes = Array.of_list (List.rev !leaf_nodes);
-    leaf_vertices = Array.of_list (List.rev !leaf_vertices);
+    drs;
+    rewriting;
+    begin_v;
+    end_v;
+    footprint;
+    size;
+    work;
+    leaf_vertices;
     vertex_owner;
-    fire_edges =
-      List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) fire_edges []);
     decomp_cache = Hashtbl.create 16;
     decomp_lock = Mutex.create ();
   }
@@ -313,61 +131,64 @@ let dag t = t.dag
 
 let tree t = t.tree
 
-let registry t = t.registry
+let registry t = t.drs.registry
 
-let n_nodes t = Array.length t.nodes
+let skeleton t = t.drs
 
-let root t = t.root
+let rewriting t = t.rewriting
+
+let n_nodes t = Drs.n_nodes t.drs
+
+let root t = Drs.root t.drs
 
 let check t n =
-  if n < 0 || n >= Array.length t.nodes then
-    invalid_arg "Program: node id out of range"
+  if n < 0 || n >= n_nodes t then invalid_arg "Program: node id out of range"
 
 let parent t n =
   check t n;
-  t.nodes.(n).parent
+  t.drs.parent.(n)
 
 let children t n =
   check t n;
-  t.nodes.(n).children
+  t.drs.children.(n)
 
 let kind_of t n =
   check t n;
-  t.nodes.(n).kind
+  t.drs.kind.(n)
 
 let leaf_range t n =
   check t n;
-  (t.nodes.(n).leaf_lo, t.nodes.(n).leaf_hi)
+  (t.drs.leaf_lo.(n), t.drs.leaf_hi.(n))
 
-let n_leaves t = Array.length t.leaf_nodes
+let n_leaves t = Array.length t.leaf_vertices
 
-let leaf_node t i = t.leaf_nodes.(i)
+let leaf_node t i = t.drs.leaf_nodes.(i)
 
 let leaf_vertex t i = t.leaf_vertices.(i)
 
 let vertex_owner t v = t.vertex_owner.(v)
 
-let fire_edges t = t.fire_edges
+let fire_edges t = Drs.pairs t.rewriting
 
 let begin_vertex t n =
   check t n;
-  t.nodes.(n).begin_v
+  t.begin_v.(n)
 
 let end_vertex t n =
   check t n;
-  t.nodes.(n).end_v
+  t.end_v.(n)
 
 let footprint t n =
   check t n;
-  t.nodes.(n).footprint
+  t.footprint.(n)
 
 let size t n =
   check t n;
-  t.nodes.(n).size
+  t.size.(n)
 
 let work_of_node t n =
   check t n;
-  t.nodes.(n).work
+  t.work.(n)
 
 (* ------------------------------------------------------------------ *)
 (* M-maximal decomposition                                             *)
@@ -375,25 +196,25 @@ let work_of_node t n =
 
 let decompose_uncached t ~m =
   let tasks = ref [] and n_tasks = ref 0 in
-  let task_of_node = Array.make (Array.length t.nodes) (-1) in
+  let task_of_node = Array.make (n_nodes t) (-1) in
   let n_glue = ref 0 in
   let rec go n =
-    let node = t.nodes.(n) in
-    if node.size <= m || node.children = [||] then begin
+    let cs = t.drs.children.(n) in
+    if t.size.(n) <= m || cs = [||] then begin
       let idx = !n_tasks in
       incr n_tasks;
       tasks := n :: !tasks;
       (* post-order: the subtree is the contiguous id range [first, n] *)
-      for i = node.first_node to n do
+      for i = t.drs.first_node.(n) to n do
         task_of_node.(i) <- idx
       done
     end
     else begin
       incr n_glue;
-      Array.iter go node.children
+      Array.iter go cs
     end
   in
-  go t.root;
+  go (root t);
   let task_of_vertex =
     Array.map
       (fun owner -> if owner < 0 then -1 else task_of_node.(owner))
@@ -430,4 +251,4 @@ let enclosing_task d n = d.task_of_node.(n)
 let is_ancestor t a n =
   check t a;
   check t n;
-  t.nodes.(a).first_node <= n && n <= a
+  t.drs.first_node.(a) <= n && n <= a

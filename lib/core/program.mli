@@ -1,37 +1,22 @@
-(** Compiled ND programs: the DAG Rewriting System (DRS).
+(** Compiled ND programs: a spawn tree run through the DRS ({!Drs}) and
+    materialized as the algorithm DAG.
 
-    [compile] fully unfolds a spawn tree and materializes the equivalent
-    algorithm DAG defined by the paper's two rewriting rules:
-
-    - {b Spawn rule}: every spawn-tree node contributes structure to the
-      DAG.  Strands become work-carrying vertices.  [Seq] chains its
-      children; [Par] and [Fire] fan out between zero-work begin/end
-      synchronization vertices, which keeps the DAG linear in the number of
-      leaves while preserving the precedence relation exactly (a full
-      dependency [a ; b] is the single edge [end(a) -> begin(b)], and
-      [end(a)] is a descendant of every leaf of [a]).
-
-    - {b Fire rule}: every [Fire] node seeds a dataflow arrow
-      [(src, snk, rule)] which is rewritten recursively: each registered
-      rule [+p ⇝R -q] resolves the pedigrees [p] and [q] below the arrow's
-      endpoints and recurses; arrows between two strands, and arrows whose
-      rules make no further progress, become full-dependency edges (the
-      paper: fire arrows incident to leaves are treated as solid arrows).
-      Fire types with an empty rule list behave as ["‖"].
-
-    Leaves are numbered in depth-first order, so every spawn-tree node
-    covers a contiguous leaf interval — the representation behind the
-    M-maximal decompositions used by the metrics and schedulers. *)
+    The DAG has one strand vertex per leaf and a zero-work begin/end
+    synchronization pair per [Par] and [Fire] node, numbered in node
+    (post-) order; its edges are the skeleton's structural edges followed
+    by one [end(a) -> begin(b)] edge per rewritten pair, in the order
+    the rewriting produced them.  Node ids, leaf order and the fire rule
+    itself are {!Drs}'s. *)
 
 type t
 
 type node_id = int
 
-type kind = Leaf of Strand.t | Seq | Par | Fire of string
+type kind = Drs.kind = Leaf of Strand.t | Seq | Par | Fire of string
 
-(** [compile ~registry tree] runs the DRS.
+(** [compile ~registry tree] runs the DRS and builds the DAG.
     @raise Invalid_argument if the tree references an unregistered fire
-    type. *)
+    type (see {!Drs.flatten} and {!Drs.rewrite}). *)
 val compile : registry:Fire_rule.registry -> Spawn_tree.t -> t
 
 val dag : t -> Nd_dag.Dag.t
@@ -39,6 +24,13 @@ val dag : t -> Nd_dag.Dag.t
 val tree : t -> Spawn_tree.t
 
 val registry : t -> Fire_rule.registry
+
+(** The flattened tree and the rewriting the DAG was built from, for
+    consumers that need the DRS without a second walk (the structural
+    cost pass, the linter). *)
+val skeleton : t -> Drs.t
+
+val rewriting : t -> Drs.rewrite
 
 (** {2 Spawn-tree nodes} *)
 

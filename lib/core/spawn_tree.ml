@@ -25,16 +25,6 @@ let child t i =
   | Fire { src; snk; _ } ->
     if i = 1 then src else if i = 2 then snk else raise Not_found
 
-let resolve t p =
-  let rec go t = function
-    | [] -> (t, [])
-    | step :: rest as pending -> (
-      match child t step with
-      | c -> go c rest
-      | exception Not_found -> (t, pending))
-  in
-  go t (Pedigree.to_list p)
-
 let rec n_leaves = function
   | Leaf _ -> 1
   | Seq l | Par l -> List.fold_left (fun acc c -> acc + n_leaves c) 0 l

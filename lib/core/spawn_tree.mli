@@ -3,7 +3,7 @@
     Internal nodes are the composition constructs — [Seq] (";"), [Par]
     ("‖") and [Fire] ("⇝", carrying its fire-rule type name) — and leaves
     are strands.  A spawn tree together with a {!Fire_rule.registry}
-    determines an algorithm DAG via the DRS (see {!Program}). *)
+    determines an algorithm DAG via the DRS (see {!Drs}). *)
 
 type t =
   | Leaf of Strand.t
@@ -24,13 +24,6 @@ val fire : rule:string -> t -> t -> t
 (** [child t i] is the [i]-th (1-based) subtask: for [Fire], 1 = source and
     2 = sink.  @raise Not_found if out of range or [t] is a leaf. *)
 val child : t -> int -> t
-
-(** [resolve t p] follows pedigree [p] as deep as it goes and returns the
-    reached node together with the unconsumed suffix of [p].  The suffix is
-    non-empty only when a step was out of range or a leaf was reached early
-    (the DRS then attaches the arrow at the deepest node, per the paper's
-    convention that arrows incident to leaves are full dependencies). *)
-val resolve : t -> Pedigree.t -> t * Pedigree.t
 
 (** [n_leaves t] counts strands. *)
 val n_leaves : t -> int

@@ -449,6 +449,22 @@ let q_star_ms = [ 1; 2; 8; 64 ]
 
 let check_cost_matches_exact ~what p =
   let cost = Cost.of_program p in
+  (* the tree path flattens and rewrites on its own; it must agree with
+     the reuse of the program's skeleton and rewriting field for field *)
+  let tree_cost =
+    Cost.analyze ~registry:(Program.registry p) (Program.tree p)
+  in
+  if Cost.report tree_cost <> Cost.report cost then
+    Alcotest.failf "%s: Cost.analyze report differs from Cost.of_program@.%a@.vs@.%a"
+      what Cost.pp_report (Cost.report tree_cost) Cost.pp_report
+      (Cost.report cost);
+  List.iter
+    (fun m ->
+      let qt = Cost.q_star tree_cost ~m and qp = Cost.q_star cost ~m in
+      if qt <> qp then
+        Alcotest.failf "%s: Cost.analyze Q*(m=%d) %d <> Cost.of_program %d"
+          what m qt qp)
+    q_star_ms;
   let exact = Analysis.analyze p in
   let r = Cost.report cost in
   if r.Cost.work <> exact.Analysis.work then
@@ -484,17 +500,58 @@ let test_cost_matches_exact_corpus () =
     let spec = Gen.generate ~seed () in
     let inst = Gen.build spec in
     match Program.compile ~registry:inst.Gen.registry inst.Gen.tree with
-    | exception Invalid_argument _ ->
-      (* the structural pass must refuse the same programs *)
+    | exception Invalid_argument msg ->
+      (* the structural pass must refuse the same programs, for the same
+         reason *)
       (match
          Cost.analyze ~registry:inst.Gen.registry inst.Gen.tree
        with
-      | exception Invalid_argument _ -> ()
+      | exception Invalid_argument msg' ->
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d: refusal message" seed)
+          msg msg'
       | _ ->
         Alcotest.failf "seed %d: compile refused but Cost.analyze passed"
           seed)
     | p -> check_cost_matches_exact ~what:(Printf.sprintf "seed %d" seed) p
   done
+
+let test_cost_refuses_like_compile () =
+  (* an undefined fire type on the tree (refused while flattening) and
+     one reached only through a rule's via (refused while rewriting) *)
+  let tree rule =
+    Spawn_tree.fire ~rule
+      (Spawn_tree.seq [ strand "a"; strand "b" ])
+      (Spawn_tree.seq [ strand "c"; strand "d" ])
+  in
+  let via_nope =
+    Fire_rule.define Fire_rule.empty_registry "H"
+      [ Fire_rule.rule [ 1 ] (Fire_rule.Named "NOPE") [ 1 ] ]
+  in
+  List.iter
+    (fun (what, registry, tree, name) ->
+      let refusal f =
+        match f () with
+        | exception Invalid_argument msg -> msg
+        | _ -> Alcotest.failf "%s: accepted" what
+      in
+      let msg =
+        refusal (fun () -> ignore (Program.compile ~registry tree))
+      in
+      Alcotest.(check string) (what ^ ": same message") msg
+        (refusal (fun () -> ignore (Cost.analyze ~registry tree)));
+      let quoted = Printf.sprintf "%S" name in
+      let n = String.length quoted in
+      let rec mentions i =
+        i + n <= String.length msg
+        && (String.sub msg i n = quoted || mentions (i + 1))
+      in
+      if not (mentions 0) then
+        Alcotest.failf "%s: %S does not name %s" what msg quoted)
+    [
+      ("tree", Fire_rule.empty_registry, tree "GHOST", "GHOST");
+      ("via", via_nope, tree "H", "NOPE");
+    ]
 
 let test_cost_matches_exact_workloads () =
   (* all ten shipped families at small n, both models *)
@@ -627,6 +684,8 @@ let () =
             test_cost_matches_exact_corpus;
           Alcotest.test_case "matches exact: workloads" `Quick
             test_cost_matches_exact_workloads;
+          Alcotest.test_case "refuses like compile" `Quick
+            test_cost_refuses_like_compile;
           Alcotest.test_case "paper-scale golden" `Slow
             test_cost_paper_scale_golden;
         ] );

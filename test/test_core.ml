@@ -53,12 +53,29 @@ let test_tree_child_resolve () =
   (match Spawn_tree.child f 2 with
   | Spawn_tree.Leaf s -> Alcotest.(check string) "fire child 2" "y" s.Strand.label
   | _ -> Alcotest.fail "bad child");
-  let node, rest = Spawn_tree.resolve f (Pedigree.of_list [ 1; 5; 7 ]) in
-  (match node with
-  | Spawn_tree.Leaf s ->
-    Alcotest.(check string) "stops at leaf" "x" s.Strand.label;
-    Alcotest.(check (list int)) "suffix" [ 5; 7 ] rest
-  | _ -> Alcotest.fail "resolve did not stop at leaf")
+  (* pedigree resolution on the flattened tree: node ids are post-order,
+     so x = 0, y = 1 and the fire node is the root, 2 *)
+  let reg = Fire_rule.define Fire_rule.empty_registry "R" [] in
+  let drs = Drs.flatten ~registry:reg f in
+  let resolution =
+    Alcotest.testable
+      (fun ppf r ->
+        Format.pp_print_string ppf
+          (match r with
+          | Drs.Clean -> "clean"
+          | Drs.Bottomed -> "bottomed"
+          | Drs.Mismatch -> "mismatch"))
+      ( = )
+  in
+  let check_resolve what steps (node, outcome) =
+    let n, o = Drs.resolve drs (Drs.root drs) (Pedigree.of_list steps) in
+    Alcotest.(check int) (what ^ ": node") node n;
+    Alcotest.check resolution (what ^ ": outcome") outcome o
+  in
+  check_resolve "stops at leaf" [ 1; 5; 7 ] (0, Drs.Bottomed);
+  check_resolve "clean" [ 2 ] (1, Drs.Clean);
+  check_resolve "empty" [] (2, Drs.Clean);
+  check_resolve "no such child" [ 3 ] (2, Drs.Mismatch)
 
 let test_projections () =
   let t = Spawn_tree.fire ~rule:"R" (strand "a") (strand "b") in
