@@ -46,19 +46,6 @@ end
 
 module Shape_tbl = Hashtbl.Make (Shape_key)
 
-type t = {
-  shapes : shape array;
-  root_shape : int;
-  qmemo : (int * int, int) Hashtbl.t;  (* (shape id, m) -> Q* *)
-  work : int;
-  span : int;
-  peak : int;
-  root_size : int;
-  n_leaves : int;
-  n_nodes : int;
-  n_fire_edges : int;
-}
-
 type report = {
   work : int;
   span : int;
@@ -71,6 +58,13 @@ type report = {
   n_shapes : int;
 }
 
+type t = {
+  shapes : shape array;
+  root_shape : int;
+  qmemo : (int * int, int) Hashtbl.t;  (* (shape id, m) -> Q* *)
+  report : report;
+}
+
 let dummy_shape =
   { s_children = [||]; s_fp = Is.empty; s_size = 0; s_work = 0; s_peak = 0 }
 
@@ -79,24 +73,16 @@ let dummy_shape =
 let of_drs (drs : Drs.t) rw =
   let n_nodes = Drs.n_nodes drs in
   let shape_ids : int Shape_tbl.t = Shape_tbl.create 256 in
-  let shapes = ref (Array.make 64 dummy_shape) in
+  (* at most one shape per node *)
+  let shapes = Array.make n_nodes dummy_shape in
   let n_shapes = ref 0 in
-  let add_shape s =
-    let id = !n_shapes in
-    if id >= Array.length !shapes then begin
-      let bigger = Array.make (2 * Array.length !shapes) dummy_shape in
-      Array.blit !shapes 0 bigger 0 id;
-      shapes := bigger
-    end;
-    !shapes.(id) <- s;
-    incr n_shapes;
-    id
-  in
   let intern key mk =
     match Shape_tbl.find_opt shape_ids key with
     | Some id -> id
     | None ->
-      let id = add_shape (mk ()) in
+      let id = !n_shapes in
+      shapes.(id) <- mk ();
+      incr n_shapes;
       Shape_tbl.add shape_ids key id;
       id
   in
@@ -129,7 +115,7 @@ let of_drs (drs : Drs.t) rw =
         let mn =
           Array.fold_left
             (fun acc c ->
-              if Is.is_empty !shapes.(node_shape.(c)).s_fp then acc
+              if Is.is_empty shapes.(node_shape.(c)).s_fp then acc
               else
                 match acc with
                 | None -> Some node_min.(c)
@@ -142,15 +128,17 @@ let of_drs (drs : Drs.t) rw =
             (Array.map
                (fun c ->
                  let s = node_shape.(c) in
-                 if Is.is_empty !shapes.(s).s_fp then (s, 0)
+                 if Is.is_empty shapes.(s).s_fp then (s, 0)
                  else (s, node_min.(c) - mn))
                children)
         in
-        let tag, rule =
+        (* a Seq's children are live one at a time, a Par's or Fire's
+           all at once *)
+        let tag, rule, peak_of =
           match kind with
-          | Drs.Seq -> (0, "")
-          | Drs.Par -> (1, "")
-          | Drs.Fire r -> (2, r)
+          | Drs.Seq -> (0, "", max)
+          | Drs.Par -> (1, "", ( + ))
+          | Drs.Fire r -> (2, r, ( + ))
           | Drs.Leaf _ -> assert false
         in
         node_min.(id) <- mn;
@@ -158,38 +146,41 @@ let of_drs (drs : Drs.t) rw =
           intern (KNode (tag, rule, deltas)) (fun () ->
               let fp =
                 List.fold_left
-                  (fun acc (s, d) -> Is.union acc (Is.shift !shapes.(s).s_fp d))
+                  (fun acc (s, d) -> Is.union acc (Is.shift shapes.(s).s_fp d))
                   Is.empty deltas
               in
               let sum f =
-                List.fold_left (fun acc (s, _) -> acc + f !shapes.(s)) 0 deltas
+                List.fold_left (fun acc (s, _) -> acc + f shapes.(s)) 0 deltas
               in
               let peak =
-                match kind with
-                | Drs.Seq ->
-                  List.fold_left
-                    (fun acc (s, _) -> max acc !shapes.(s).s_peak)
-                    0 deltas
-                | Drs.Par | Drs.Fire _ -> sum (fun s -> s.s_peak)
-                | Drs.Leaf _ -> assert false
+                List.fold_left
+                  (fun acc (s, _) -> peak_of acc shapes.(s).s_peak)
+                  0 deltas
               in
               { s_children = Array.map (fun c -> node_shape.(c)) children;
                 s_fp = fp; s_size = Is.cardinal fp;
                 s_work = sum (fun s -> s.s_work); s_peak = peak }))
     drs.kind;
   let root_shape = node_shape.(Drs.root drs) in
-  let root = !shapes.(root_shape) in
+  let root = shapes.(root_shape) in
+  let work = root.s_work and span = Drs.span drs rw in
   {
-    shapes = Array.sub !shapes 0 !n_shapes;
+    shapes = Array.sub shapes 0 !n_shapes;
     root_shape;
     qmemo = Hashtbl.create 64;
-    work = root.s_work;
-    span = Drs.span drs rw;
-    peak = root.s_peak;
-    root_size = root.s_size;
-    n_leaves = Array.length drs.leaf_nodes;
-    n_nodes;
-    n_fire_edges = Drs.n_pairs rw;
+    report =
+      {
+        work;
+        span;
+        parallelism =
+          (if span = 0 then 0. else float_of_int work /. float_of_int span);
+        peak_footprint = root.s_peak;
+        root_size = root.s_size;
+        n_leaves = Array.length drs.leaf_nodes;
+        n_nodes;
+        n_fire_edges = Drs.n_pairs rw;
+        n_shapes = !n_shapes;
+      };
   }
 
 let analyze ~registry tree =
@@ -198,13 +189,15 @@ let analyze ~registry tree =
 
 let of_program p = of_drs (Program.skeleton p) (Program.rewriting p)
 
-let work (t : t) = t.work
+let report t = t.report
 
-let span (t : t) = t.span
+let work t = t.report.work
 
-let peak_footprint (t : t) = t.peak
+let span t = t.report.span
 
-let root_size (t : t) = t.root_size
+let peak_footprint t = t.report.peak_footprint
+
+let root_size t = t.report.root_size
 
 (* Mirrors Program.decompose + Pcc.q_star: a node whose size fits in m
    (or a leaf) is a maximal task contributing its size; otherwise it is a
@@ -226,20 +219,6 @@ let q_star t ~m =
       q
   in
   go t.root_shape
-
-let report (t : t) =
-  {
-    work = t.work;
-    span = t.span;
-    parallelism =
-      (if t.span = 0 then 0. else float_of_int t.work /. float_of_int t.span);
-    peak_footprint = t.peak;
-    root_size = t.root_size;
-    n_leaves = t.n_leaves;
-    n_nodes = t.n_nodes;
-    n_fire_edges = t.n_fire_edges;
-    n_shapes = Array.length t.shapes;
-  }
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -19,15 +19,15 @@ module Json = Nd_util.Json
    ND006  warning  fire ≡ seq at a fire node: the rule set emits a
                    root-to-root full edge, serializing the construct
                    (span pessimization)
-   ND007  warning  fires recover no span: the compiled DAG's span equals
-                   the fully-serialized projection's
+   ND007  warning  fires recover no span: the program's span equals the
+                   fully-serialized projection's
    ND008  error    definite footprint race between Par siblings (or the
                    two sides of an empty-rule-set fire)
    ND009  error    determinacy race (ESP-bags), reported with the same
                    LCA + pedigree diagnosis as Rule_check
    ND010  warning  span not recovered asymptotically: over a size sweep
-                   of the structural Cost pass, the NP/ND span ratio
-                   does not grow (static, asymptotic version of ND007)
+                   of DRS spans, the NP/ND span ratio does not grow
+                   (static, asymptotic version of ND007)
    ND011  warning  peak footprint exceeds the outermost cache level: no
                    tree_sched budget below the working set avoids
                    top-level misses
@@ -248,27 +248,25 @@ let dead_rules program =
     (Drs.tally (Program.rewriting program))
 
 let fire_eq_seq program =
-  let drs = Program.skeleton program in
-  let rw = Program.rewriting program in
-  let is_leaf n = drs.Drs.children.(n) = [||] in
-  let fs = ref [] in
-  Array.iteri
-    (fun n kind ->
-      match kind with
-      | Drs.Fire r ->
-        let cs = drs.Drs.children.(n) in
-        if Drs.mem_pair rw cs.(0) cs.(1) && not (is_leaf cs.(0) && is_leaf cs.(1))
+  let is_leaf n = Program.children program n = [||] in
+  List.filter_map
+    (fun n ->
+      match Program.kind_of program n with
+      | Program.Fire r ->
+        let cs = Program.children program n in
+        if
+          Drs.mem_pair (Program.rewriting program) cs.(0) cs.(1)
+          && not (is_leaf cs.(0) && is_leaf cs.(1))
         then
-          fs :=
-            finding "ND006" Warning r
-              "fire node #%d: rule set %S emits a root-to-root full edge, so \
-               the fire construct serializes entirely (fire ≡ seq; span \
-               pessimization)"
-              n r
-            :: !fs
-      | Drs.Leaf _ | Drs.Seq | Drs.Par -> ())
-    drs.Drs.kind;
-  List.rev !fs
+          Some
+            (finding "ND006" Warning r
+               "fire node #%d: rule set %S emits a root-to-root full edge, \
+                so the fire construct serializes entirely (fire ≡ seq; span \
+                pessimization)"
+               n r)
+        else None
+      | Program.Leaf _ | Program.Seq | Program.Par -> None)
+    (List.init (Program.n_nodes program) Fun.id)
 
 (* The span of [tree]'s DAG by the DRS event DP — no DAG is built. *)
 let drs_span ~registry tree =
@@ -279,7 +277,9 @@ let no_span_recovered program =
   let tree = Program.tree program in
   if Spawn_tree.fire_types tree = [] then []
   else begin
-    let nd_span = Drs.span (Program.skeleton program) (Program.rewriting program) in
+    let nd_span =
+      Drs.span (Program.skeleton program) (Program.rewriting program)
+    in
     let np_span =
       drs_span ~registry:(Program.registry program)
         (Spawn_tree.serialize_fires tree)
@@ -357,8 +357,8 @@ let lint_cost ?machine ?procs ~has_fires cost =
          r.Cost.span);
   List.rev !fs
 
-(* ND010: the asymptotic version of ND007.  Runs the structural pass on
-   a sweep of sizes for both the ND tree and its fully-serialized NP
+(* ND010: the asymptotic version of ND007.  Takes the DRS span on a
+   sweep of sizes for both the ND tree and its fully-serialized NP
    projection and judges whether the fires buy span {e asymptotically}:
    a flat NP/ND span ratio means at best a constant factor. *)
 let lint_span_sweep ~subject ~build sizes =

@@ -18,18 +18,18 @@
       cannot refine such arrows and degrades them to full edges.
     - [ND006] {e warning} — fire ≡ seq: a fire node's rule set emits a
       root-to-root full edge, serializing the whole construct.
-    - [ND007] {e warning} — fires recover no span: the compiled DAG's
-      span equals the fully-serialized ({!Nd.Spawn_tree.serialize_fires})
-      projection's.
+    - [ND007] {e warning} — fires recover no span: the program's span
+      equals the fully-serialized ({!Nd.Spawn_tree.serialize_fires})
+      projection's (both by {!Nd.Drs.span}; no second DAG is compiled).
     - [ND008] {e error} — definite footprint race between [Par] siblings
       or across an empty-rule-set fire ({!Footprint}).
     - [ND009] {e error} — determinacy race found by the ESP-bags pass
       ({!Esp_bags}), reported with the same LCA + pedigree diagnosis as
       {!Nd.Rule_check}.
     - [ND010] {e warning} — span not recovered {e asymptotically}: over
-      a size sweep of the structural {!Cost} pass, the NP/ND span ratio
-      does not grow (the static, asymptotic version of ND007; needs no
-      DAG, so it runs at sizes ND007 cannot).
+      a size sweep of {!Nd.Drs.span}, the NP/ND span ratio does not grow
+      (the asymptotic version of ND007; it builds no DAG, so it runs at
+      sizes where compiling one would be slow).
     - [ND011] {e warning} — peak footprint exceeds the outermost cache
       level of a given PMH: no [tree_sched] budget below the working set
       avoids top-level misses.
@@ -101,9 +101,9 @@ val lint_cost :
   finding list
 
 (** [lint_span_sweep ~subject ~build sizes] — ND010.  [build n] yields
-    the registry and spawn tree at problem size [n]; the sweep runs the
-    structural pass on each size for both the ND tree and its
-    [serialize_fires] projection and warns when the NP/ND span ratio
+    the registry and spawn tree at problem size [n]; the sweep takes
+    the DRS span ({!Nd.Drs.span}) at each size for both the ND tree and
+    its [serialize_fires] projection and warns when the NP/ND span ratio
     does not grow (no asymptotic span recovery).  Trees without fires
     contribute nothing; an empty or fire-free sweep yields []. *)
 val lint_span_sweep :

@@ -16,7 +16,8 @@ type t = {
   ev_work : int array;
 }
 
-let undefined name = invalid_arg (Printf.sprintf "Drs: undefined fire type %S" name)
+let undefined name =
+  invalid_arg (Printf.sprintf "Drs: undefined fire type %S" name)
 
 (* ------------------------------------------------------------------ *)
 (* Spawn rule: the skeleton                                            *)
@@ -100,10 +101,8 @@ let n_nodes t = Array.length t.kind
 
 let root t = n_nodes t - 1
 
-let n_events t = Array.length t.ev_work
-
 (* ------------------------------------------------------------------ *)
-(* Pedigree resolution                                                 *)
+(* Fire rule: pedigree resolution and the rewriting                    *)
 (* ------------------------------------------------------------------ *)
 
 type resolution = Clean | Bottomed | Mismatch
@@ -136,10 +135,6 @@ let resolve t id p =
   ( code lsr 2,
     match code land 3 with 0 -> Clean | 1 -> Bottomed | _ -> Mismatch )
 
-(* ------------------------------------------------------------------ *)
-(* Fire rule: the rewriting                                            *)
-(* ------------------------------------------------------------------ *)
-
 (* Open-addressing set of non-negative ints (linear probing, -1 = empty):
    the visited arrows and the emitted pairs are keyed by packed ints, so
    membership is one multiply and a short probe, with no polymorphic
@@ -169,149 +164,116 @@ module Int_set = struct
   let add t k =
     if 2 * (t.size + 1) > Array.length t.keys then grow t;
     let i = slot t.keys k in
-    if t.keys.(i) = k then false
-    else begin
-      t.keys.(i) <- k;
-      t.size <- t.size + 1;
-      true
-    end
+    let fresh = t.keys.(i) <> k in
+    if fresh then (t.keys.(i) <- k; t.size <- t.size + 1);
+    fresh
 end
-
-(* A rule with its pedigrees as arrays and its target interned: [via] is
-   [-1] for a full dependency, else a fire-type id. *)
-type crule = { src : int array; via : int; dst : int array }
 
 type rule_tally = {
   fire_type : string;
   index : int;
   rule : Fire_rule.rule;
-  applied : int;
-  clean : int;
-  bottomed : int;
+  mutable applied : int;
+  mutable clean : int;
+  mutable bottomed : int;
+}
+
+(* A rule compiled for the walk: pedigrees as arrays, the target
+   interned, and the rule's tally. *)
+type target = Full | Type of int | Undefined of string
+
+type crule = {
+  src : int array;
+  via : target;
+  dst : int array;
+  tally : rule_tally;
 }
 
 type rewrite = {
-  n : int;  (* nodes: pairs are keyed [a * n + b] *)
-  pairs : int array;  (* [a0; b0; a1; b1; ...] in first-production order *)
+  n : int;  (* pairs are packed as [a * n + b] *)
+  pairs : int array;  (* packed, in first-production order *)
   n_pairs : int;
   pair_set : Int_set.t;
   tally : rule_tally list;
 }
 
 let rewrite t =
-  let n = n_nodes t in
-  let reg = t.registry in
-  (* intern fire types: the defined ones first (registry order), then
-     names that only occur as a rule's [via] *)
+  let n = n_nodes t and reg = t.registry in
+  (* fire types are interned in registry order *)
   let names = Fire_rule.names reg in
   let ids = Hashtbl.create 16 in
-  let all_names = ref (List.rev names) in
   List.iteri (fun i name -> Hashtbl.replace ids name i) names;
-  let n_defined = List.length names in
-  let intern name =
-    match Hashtbl.find_opt ids name with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length ids in
-      Hashtbl.replace ids name i;
-      all_names := name :: !all_names;
-      i
+  let n_types = List.length names in
+  let steps p = Array.of_list (Pedigree.to_list p) in
+  let target = function
+    | Fire_rule.Full -> Full
+    | Fire_rule.Named v -> (
+      match Hashtbl.find_opt ids v with Some i -> Type i | None -> Undefined v)
   in
   let rules =
     Array.of_list
       (List.map
-         (fun name ->
+         (fun fire_type ->
            Array.of_list
-             (List.map
-                (fun (r : Fire_rule.rule) ->
-                  let steps p = Array.of_list (Pedigree.to_list p) in
-                  {
-                    src = steps r.src;
-                    via =
-                      (match r.via with
-                      | Fire_rule.Full -> -1
-                      | Fire_rule.Named v -> intern v);
-                    dst = steps r.dst;
-                  })
-                (Fire_rule.find reg name)))
+             (List.mapi
+                (fun index (rule : Fire_rule.rule) ->
+                  let tally =
+                    { fire_type; index; rule; applied = 0; clean = 0;
+                      bottomed = 0 }
+                  in
+                  { src = steps rule.src; via = target rule.via;
+                    dst = steps rule.dst; tally })
+                (Fire_rule.find reg fire_type)))
          names)
   in
-  let name_of = Array.of_list (List.rev !all_names) in
-  let n_types = Array.length name_of in
-  (* per-rule counters, flat: rule [idx] of type [r] is [base.(r) + idx] *)
-  let base = Array.make (n_defined + 1) 0 in
-  Array.iteri (fun r rs -> base.(r + 1) <- base.(r) + Array.length rs) rules;
-  let n_rules = base.(n_defined) in
-  let applied = Array.make n_rules 0
-  and n_clean = Array.make n_rules 0
-  and n_bottomed = Array.make n_rules 0 in
   let children = t.children in
   let pairs = ref (Array.make 256 0) and n_pairs = ref 0 in
   let pair_set = Int_set.create () and visited = Int_set.create () in
   let full_edge a b =
-    if a <> b && t.end_ev.(a) <> t.begin_ev.(b) && Int_set.add pair_set ((a * n) + b)
+    let key = (a * n) + b in
+    if a <> b && t.end_ev.(a) <> t.begin_ev.(b) && Int_set.add pair_set key
     then begin
-      let i = 2 * !n_pairs in
-      if i + 1 >= Array.length !pairs then begin
-        let bigger = Array.make (2 * Array.length !pairs) 0 in
-        Array.blit !pairs 0 bigger 0 i;
-        pairs := bigger
-      end;
-      !pairs.(i) <- a;
-      !pairs.(i + 1) <- b;
+      if !n_pairs = Array.length !pairs then
+        pairs := Array.append !pairs (Array.make !n_pairs 0);
+      !pairs.(!n_pairs) <- key;
       incr n_pairs
     end
   in
   let rec process a b r =
-    if Int_set.add visited ((((a * n) + b) * n_types) + r) then begin
-      if r >= n_defined then undefined name_of.(r);
-      let rs = rules.(r) in
-      if Array.length rs > 0 then
-        if Array.length children.(a) = 0 && Array.length children.(b) = 0
-        then full_edge a b
-        else
-          Array.iteri
-            (fun idx rule ->
-              let ca = resolve_code children a rule.src
-              and cb = resolve_code children b rule.dst in
-              let a' = ca lsr 2 and b' = cb lsr 2 in
-              let k = base.(r) + idx in
-              applied.(k) <- applied.(k) + 1;
-              let oa = ca land 3 and ob = cb land 3 in
-              if oa = clean && ob = clean then n_clean.(k) <- n_clean.(k) + 1
-              else if oa <> mismatch && ob <> mismatch then
-                n_bottomed.(k) <- n_bottomed.(k) + 1;
-              if rule.via < 0 then full_edge a' b'
-              else if a' = a && b' = b && rule.via = r then
-                (* no structural progress: conservative full edge *)
-                full_edge a b
-              else process a' b' rule.via)
-            rs
-    end
+    let rs = rules.(r) in
+    if Int_set.add visited ((((a * n) + b) * n_types) + r) && rs <> [||] then
+      if children.(a) = [||] && children.(b) = [||] then full_edge a b
+      else
+        Array.iter
+          (fun c ->
+            let ca = resolve_code children a c.src
+            and cb = resolve_code children b c.dst in
+            let a' = ca lsr 2 and b' = cb lsr 2 in
+            let oa = ca land 3 and ob = cb land 3 and t = c.tally in
+            t.applied <- t.applied + 1;
+            if oa = clean && ob = clean then t.clean <- t.clean + 1
+            else if oa <> mismatch && ob <> mismatch then
+              t.bottomed <- t.bottomed + 1;
+            match c.via with
+            | Full -> full_edge a' b'
+            | Undefined name -> undefined name
+            | Type r' when a' = a && b' = b && r' = r ->
+              (* no structural progress: conservative full edge *)
+              full_edge a b
+            | Type r' -> process a' b' r')
+          rs
   in
   Array.iteri
     (fun id k ->
       match k with
-      | Fire r -> process children.(id).(0) children.(id).(1) (intern r)
+      | Fire r ->
+        process children.(id).(0) children.(id).(1) (Hashtbl.find ids r)
       | Leaf _ | Seq | Par -> ())
     t.kind;
   let tally =
-    List.concat
-      (List.mapi
-         (fun r name ->
-           List.mapi
-             (fun index rule ->
-               let k = base.(r) + index in
-               {
-                 fire_type = name;
-                 index;
-                 rule;
-                 applied = applied.(k);
-                 clean = n_clean.(k);
-                 bottomed = n_bottomed.(k);
-               })
-             (Fire_rule.find reg name))
-         names)
+    List.concat_map
+      (fun rs -> List.map (fun (c : crule) -> c.tally) (Array.to_list rs))
+      (Array.to_list rules)
   in
   { n; pairs = !pairs; n_pairs = !n_pairs; pair_set; tally }
 
@@ -319,14 +281,15 @@ let n_pairs r = r.n_pairs
 
 let iter_pairs r f =
   for i = 0 to r.n_pairs - 1 do
-    f r.pairs.(2 * i) r.pairs.((2 * i) + 1)
+    f (r.pairs.(i) / r.n) (r.pairs.(i) mod r.n)
   done
 
 let mem_pair r a b =
-  a >= 0 && a < r.n && b >= 0 && b < r.n && Int_set.mem r.pair_set ((a * r.n) + b)
+  a >= 0 && a < r.n && b >= 0 && b < r.n
+  && Int_set.mem r.pair_set ((a * r.n) + b)
 
 let pairs r =
-  let keys = Array.init r.n_pairs (fun i -> (r.pairs.(2 * i) * r.n) + r.pairs.((2 * i) + 1)) in
+  let keys = Array.sub r.pairs 0 r.n_pairs in
   Array.sort compare keys;
   Array.fold_right (fun k acc -> (k / r.n, k mod r.n) :: acc) keys []
 
@@ -346,45 +309,30 @@ let tally r = r.tally
    topological order, and one sweep relaxing successors in that order
    is the exact critical path. *)
 let span t r =
-  let n_ev = n_events t in
-  let iter_edges f =
-    Array.iteri
-      (fun id k ->
-        let cs = t.children.(id) in
-        match k with
-        | Leaf _ -> ()
-        | Seq ->
-          for i = 1 to Array.length cs - 1 do
-            f t.end_ev.(cs.(i - 1)) t.begin_ev.(cs.(i))
-          done
-        | Par | Fire _ ->
-          Array.iter
-            (fun c ->
-              f t.begin_ev.(id) t.begin_ev.(c);
-              f t.end_ev.(c) t.end_ev.(id))
-            cs)
-      t.kind;
-    iter_pairs r (fun a b -> f t.end_ev.(a) t.begin_ev.(b))
-  in
-  (* successor lists as CSR: count, prefix-sum, fill *)
-  let off = Array.make (n_ev + 1) 0 in
-  iter_edges (fun u _ -> off.(u + 1) <- off.(u + 1) + 1);
-  for v = 1 to n_ev do
-    off.(v) <- off.(v) + off.(v - 1)
-  done;
-  let fill = Array.sub off 0 n_ev in
-  let succ = Array.make off.(n_ev) 0 in
-  iter_edges (fun u v ->
-      succ.(fill.(u)) <- v;
-      fill.(u) <- fill.(u) + 1);
-  let dist = Array.make n_ev 0 in
-  let best = ref 0 in
+  let n_ev = Array.length t.ev_work in
+  let succs = Array.make n_ev [] in
+  let edge u v = succs.(u) <- v :: succs.(u) in
+  Array.iteri
+    (fun id k ->
+      let cs = t.children.(id) in
+      match k with
+      | Leaf _ -> ()
+      | Seq ->
+        for i = 1 to Array.length cs - 1 do
+          edge t.end_ev.(cs.(i - 1)) t.begin_ev.(cs.(i))
+        done
+      | Par | Fire _ ->
+        Array.iter
+          (fun c ->
+            edge t.begin_ev.(id) t.begin_ev.(c);
+            edge t.end_ev.(c) t.end_ev.(id))
+          cs)
+    t.kind;
+  iter_pairs r (fun a b -> edge t.end_ev.(a) t.begin_ev.(b));
+  let dist = Array.make n_ev 0 and best = ref 0 in
   for v = 0 to n_ev - 1 do
     let d = dist.(v) + t.ev_work.(v) in
     if d > !best then best := d;
-    for i = off.(v) to off.(v + 1) - 1 do
-      let w = succ.(i) in
-      if d > dist.(w) then dist.(w) <- d
-    done
+    List.iter (fun w -> if d > dist.(w) then dist.(w) <- d) succs.(v)
   done;
   !best

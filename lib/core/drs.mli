@@ -39,14 +39,11 @@ type kind = Leaf of Strand.t | Seq | Par | Fire of string
 
 (** The flattened spawn tree.  Besides the node layout it carries a DFS
     {e event} numbering: one event per leaf (carrying the strand's work),
-    a begin event allocated before and an end event allocated after the
-    children of every [Par] and [Fire], and a [Seq] aliasing its first
-    child's begin and last child's end event — the same aliasing as the
-    DAG's vertices, so [end_ev.(a) = begin_ev.(b)] exactly when
-    [end(a)] and [begin(b)] are one vertex.  Every structural edge and
-    every rewritten fire edge runs from a lower event to a higher one,
-    which makes event order a topological order of the DAG (see
-    {!span}).  The arrays are shared: treat them as read-only. *)
+    and a begin event before and an end event after the children of
+    every [Par] and [Fire]; a [Seq] aliases its first child's begin and
+    last child's end, exactly as the DAG's vertices do.  Event order is a
+    topological order of the DAG (see {!span}).  The arrays are shared:
+    treat them as read-only. *)
 type t = private {
   registry : Fire_rule.registry;
   kind : kind array;
@@ -70,8 +67,6 @@ val n_nodes : t -> int
 
 (** The root is the last node id. *)
 val root : t -> node_id
-
-val n_events : t -> int
 
 (** {1 Pedigree resolution} *)
 
@@ -110,19 +105,18 @@ val mem_pair : rewrite -> node_id -> node_id -> bool
 (** The pairs sorted by [(a, b)]. *)
 val pairs : rewrite -> (node_id * node_id) list
 
-(** Every application of a rule (one per distinct arrow and rule, at
-    arrows not between two strands) resolves both pedigrees and is
-    counted: [applied] always, [clean] when both resolutions are
-    {!Clean}, [bottomed] when neither is a {!Mismatch} but one is
-    {!Bottomed}.  A rule applied with neither clean nor bottomed uses
-    only ever degrades to conservative attachment (lint rule ND002). *)
-type rule_tally = {
+(** Every application of a rule (once per distinct arrow it is applied
+    to) counts as [applied], and as [clean] when both pedigrees resolve
+    {!Clean}, else as [bottomed] when neither is a {!Mismatch}.  A rule
+    applied but never clean or bottomed only ever degrades to
+    conservative attachment (lint rule ND002). *)
+type rule_tally = private {
   fire_type : string;
   index : int;  (** 0-based position in the fire type's rule list *)
   rule : Fire_rule.rule;
-  applied : int;
-  clean : int;
-  bottomed : int;
+  mutable applied : int;
+  mutable clean : int;
+  mutable bottomed : int;
 }
 
 (** One entry per registered rule, in registry order. *)

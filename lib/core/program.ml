@@ -23,7 +23,6 @@ type t = {
   footprint : Is.t array;
   size : int array;
   work : int array;
-  leaf_vertices : int array;
   vertex_owner : int array;
   decomp_cache : (int, decomposition) Hashtbl.t;
   decomp_lock : Mutex.t;
@@ -39,74 +38,59 @@ let compile ~registry tree =
   let n = Drs.n_nodes drs in
   let dag = Dag.create () in
   let begin_v = Array.make n 0 and end_v = Array.make n 0 in
-  let leaf_vertices = Array.make (Array.length drs.leaf_nodes) 0 in
+  let footprint = Array.make n Is.empty in
+  let size = Array.make n 0 and work = Array.make n 0 in
   (* one vertex per event: a strand per leaf, a begin/end pair per Par
      and Fire *)
-  let vertex_owner = Array.make (Drs.n_events drs) (-1) in
-  let vertex id ?label ~work ~reads ~writes () =
-    let v = Dag.add_vertex dag ?label ~work ~reads ~writes () in
+  let vertex_owner = Array.make (Array.length drs.ev_work) (-1) in
+  let vertex id ~label ~work ~reads ~writes =
+    let v = Dag.add_vertex dag ~label ~work ~reads ~writes () in
     vertex_owner.(v) <- id;
     v
   in
-  let sync id label =
-    vertex id ~label ~work:0 ~reads:Is.empty ~writes:Is.empty ()
-  in
-  (* post-order: a node's children have their vertices before it *)
+  let edge u v = Dag.add_edge dag u v in
+  (* post-order: a node's children are laid out before it *)
   Array.iteri
     (fun id kind ->
       let cs = drs.children.(id) in
-      match kind with
+      (match kind with
       | Leaf s ->
         let v =
           vertex id ~label:s.Strand.label ~work:s.Strand.work
-            ~reads:s.Strand.reads ~writes:s.Strand.writes ()
+            ~reads:s.Strand.reads ~writes:s.Strand.writes
         in
         begin_v.(id) <- v;
-        end_v.(id) <- v;
-        leaf_vertices.(drs.leaf_lo.(id)) <- v
+        end_v.(id) <- v
       | Seq ->
         for i = 1 to Array.length cs - 1 do
-          Dag.add_edge dag end_v.(cs.(i - 1)) begin_v.(cs.(i))
+          edge end_v.(cs.(i - 1)) begin_v.(cs.(i))
         done;
         begin_v.(id) <- begin_v.(cs.(0));
         end_v.(id) <- end_v.(cs.(Array.length cs - 1))
       | Par | Fire _ ->
-        let what =
-          match kind with Fire r -> "fire." ^ r ^ "." | _ -> "par."
+        let prefix = match kind with Fire r -> "fire." ^ r | _ -> "par" in
+        let sync what =
+          vertex id ~label:(prefix ^ what) ~work:0 ~reads:Is.empty
+            ~writes:Is.empty
         in
-        let b = sync id (what ^ "begin") in
-        let e = sync id (what ^ "end") in
-        begin_v.(id) <- b;
-        end_v.(id) <- e;
-        (match kind with
-        | Fire _ ->
-          Array.iter (fun c -> Dag.add_edge dag b begin_v.(c)) cs;
-          Array.iter (fun c -> Dag.add_edge dag end_v.(c) e) cs
-        | _ ->
-          Array.iter
-            (fun c ->
-              Dag.add_edge dag b begin_v.(c);
-              Dag.add_edge dag end_v.(c) e)
-            cs))
-    drs.kind;
-  (* footprints, sizes, works: children first *)
-  let footprint = Array.make n Is.empty in
-  let size = Array.make n 0 and work = Array.make n 0 in
-  Array.iteri
-    (fun id kind ->
-      match kind with
+        begin_v.(id) <- sync ".begin";
+        end_v.(id) <- sync ".end";
+        Array.iter
+          (fun c ->
+            edge begin_v.(id) begin_v.(c);
+            edge end_v.(c) end_v.(id))
+          cs);
+      (match kind with
       | Leaf s ->
         footprint.(id) <- Strand.footprint s;
-        size.(id) <- Is.cardinal footprint.(id);
         work.(id) <- s.Strand.work
       | Seq | Par | Fire _ ->
-        let cs = drs.children.(id) in
         footprint.(id) <-
           Array.fold_left (fun acc c -> Is.union acc footprint.(c)) Is.empty cs;
-        size.(id) <- Is.cardinal footprint.(id);
-        work.(id) <- Array.fold_left (fun acc c -> acc + work.(c)) 0 cs)
+        work.(id) <- Array.fold_left (fun acc c -> acc + work.(c)) 0 cs);
+      size.(id) <- Is.cardinal footprint.(id))
     drs.kind;
-  Drs.iter_pairs rewriting (fun a b -> Dag.add_edge dag end_v.(a) begin_v.(b));
+  Drs.iter_pairs rewriting (fun a b -> edge end_v.(a) begin_v.(b));
   {
     tree;
     dag;
@@ -117,7 +101,6 @@ let compile ~registry tree =
     footprint;
     size;
     work;
-    leaf_vertices;
     vertex_owner;
     decomp_cache = Hashtbl.create 16;
     decomp_lock = Mutex.create ();
@@ -160,11 +143,11 @@ let leaf_range t n =
   check t n;
   (t.drs.leaf_lo.(n), t.drs.leaf_hi.(n))
 
-let n_leaves t = Array.length t.leaf_vertices
+let n_leaves t = Array.length t.drs.leaf_nodes
 
 let leaf_node t i = t.drs.leaf_nodes.(i)
 
-let leaf_vertex t i = t.leaf_vertices.(i)
+let leaf_vertex t i = t.begin_v.(t.drs.leaf_nodes.(i))
 
 let vertex_owner t v = t.vertex_owner.(v)
 

@@ -1,12 +1,8 @@
 (** Compiled ND programs: a spawn tree run through the DRS ({!Drs}) and
-    materialized as the algorithm DAG.
-
-    The DAG has one strand vertex per leaf and a zero-work begin/end
-    synchronization pair per [Par] and [Fire] node, numbered in node
-    (post-) order; its edges are the skeleton's structural edges followed
-    by one [end(a) -> begin(b)] edge per rewritten pair, in the order
-    the rewriting produced them.  Node ids, leaf order and the fire rule
-    itself are {!Drs}'s. *)
+    materialized as the algorithm DAG — one strand vertex per leaf and a
+    zero-work begin/end pair per [Par] and [Fire] node, in node order;
+    the structural edges, then one [end(a) -> begin(b)] edge per
+    rewritten pair, in the order the rewriting produced them. *)
 
 type t
 
@@ -66,9 +62,9 @@ val vertex_owner : t -> Nd_dag.Dag.vertex_id -> node_id
     the fire-rule rewriting added, as spawn-tree node pairs [(a, b)] —
     each denotes the DAG edge [end(a) -> begin(b)], i.e. {e every} strand
     of [a]'s subtree precedes {e every} strand of [b]'s subtree.  Sorted
-    by [(a, b)].  This is the complete extra ordering the ⇝ arrows
-    contribute on top of the series-parallel skeleton; the ESP-bags race
-    detector ({!Nd_analyze}) and the fire-rule linter consume it. *)
+    by [(a, b)] ({!Drs.pairs} of {!rewriting}).  This is the complete
+    extra ordering the ⇝ arrows contribute on top of the series-parallel
+    skeleton; the ESP-bags race detector ({!Nd_analyze}) consumes it. *)
 val fire_edges : t -> (node_id * node_id) list
 
 (** [begin_vertex t n] / [end_vertex t n]: the DAG vertices such that
