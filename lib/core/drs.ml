@@ -20,7 +20,7 @@ let undefined name =
   invalid_arg (Printf.sprintf "Drs: undefined fire type %S" name)
 
 (* ------------------------------------------------------------------ *)
-(* Spawn rule: the skeleton                                            *)
+(* Spawn rule: the skeleton                                           *)
 (* ------------------------------------------------------------------ *)
 
 let rec count (nodes, events) = function
@@ -102,7 +102,7 @@ let n_nodes t = Array.length t.kind
 let root t = n_nodes t - 1
 
 (* ------------------------------------------------------------------ *)
-(* Fire rule: pedigree resolution and the rewriting                    *)
+(* Fire rule: pedigree resolution and the rewriting                   *)
 (* ------------------------------------------------------------------ *)
 
 type resolution = Clean | Bottomed | Mismatch
@@ -241,7 +241,9 @@ let rewrite t =
   in
   let rec process a b r =
     let rs = rules.(r) in
-    if Int_set.add visited ((((a * n) + b) * n_types) + r) && rs <> [||] then
+    if Int_set.add visited ((((a * n) + b) * n_types) + r)
+       && Array.length rs > 0
+    then
       if children.(a) = [||] && children.(b) = [||] then full_edge a b
       else
         Array.iter
@@ -249,11 +251,11 @@ let rewrite t =
             let ca = resolve_code children a c.src
             and cb = resolve_code children b c.dst in
             let a' = ca lsr 2 and b' = cb lsr 2 in
-            let oa = ca land 3 and ob = cb land 3 and t = c.tally in
-            t.applied <- t.applied + 1;
-            if oa = clean && ob = clean then t.clean <- t.clean + 1
+            let oa = ca land 3 and ob = cb land 3 and tl = c.tally in
+            tl.applied <- tl.applied + 1;
+            if oa = clean && ob = clean then tl.clean <- tl.clean + 1
             else if oa <> mismatch && ob <> mismatch then
-              t.bottomed <- t.bottomed + 1;
+              tl.bottomed <- tl.bottomed + 1;
             match c.via with
             | Full -> full_edge a' b'
             | Undefined name -> undefined name
@@ -296,7 +298,7 @@ let pairs r =
 let tally r = r.tally
 
 (* ------------------------------------------------------------------ *)
-(* Span: forward longest-path DP over the events                        *)
+(* Span: forward longest-path DP over the events                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Structural edges go forward in event order by construction (a Par or
