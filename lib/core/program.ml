@@ -68,13 +68,16 @@ let compile ~registry tree =
         begin_v.(id) <- begin_v.(cs.(0));
         end_v.(id) <- end_v.(cs.(Array.length cs - 1))
       | Par | Fire _ ->
-        let prefix = match kind with Fire r -> "fire." ^ r | _ -> "par" in
-        let sync what =
-          vertex id ~label:(prefix ^ what) ~work:0 ~reads:Is.empty
-            ~writes:Is.empty
+        let b_label, e_label =
+          match kind with
+          | Fire r -> ("fire." ^ r ^ ".begin", "fire." ^ r ^ ".end")
+          | _ -> ("par.begin", "par.end")
         in
-        begin_v.(id) <- sync ".begin";
-        end_v.(id) <- sync ".end";
+        let sync label =
+          vertex id ~label ~work:0 ~reads:Is.empty ~writes:Is.empty
+        in
+        begin_v.(id) <- sync b_label;
+        end_v.(id) <- sync e_label;
         Array.iter
           (fun c ->
             edge begin_v.(id) begin_v.(c);
