@@ -136,7 +136,7 @@ let of_drs (drs : Drs.t) rw =
            all at once *)
         let tag, rule, peak_of =
           match kind with
-          | Drs.Seq -> (0, "", max)
+          | Drs.Seq -> (0, "", Int.max)
           | Drs.Par -> (1, "", ( + ))
           | Drs.Fire r -> (2, r, ( + ))
           | Drs.Leaf _ -> assert false

@@ -244,7 +244,8 @@ let rewrite t =
     if Int_set.add visited ((((a * n) + b) * n_types) + r)
        && Array.length rs > 0
     then
-      if children.(a) = [||] && children.(b) = [||] then full_edge a b
+      if Array.length children.(a) = 0 && Array.length children.(b) = 0
+      then full_edge a b
       else
         Array.iter
           (fun c ->
@@ -292,7 +293,7 @@ let mem_pair r a b =
 
 let pairs r =
   let keys = Array.sub r.pairs 0 r.n_pairs in
-  Array.sort compare keys;
+  Array.sort Int.compare keys;
   Array.fold_right (fun k acc -> (k / r.n, k mod r.n) :: acc) keys []
 
 let tally r = r.tally

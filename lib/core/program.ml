@@ -18,6 +18,7 @@ type t = {
   dag : Dag.t;
   drs : Drs.t;
   rewriting : Drs.rewrite;
+  fire_edges : (node_id * node_id) list;
   begin_v : int array;
   end_v : int array;
   footprint : Is.t array;
@@ -99,6 +100,7 @@ let compile ~registry tree =
     dag;
     drs;
     rewriting;
+    fire_edges = Drs.pairs rewriting;
     begin_v;
     end_v;
     footprint;
@@ -154,7 +156,7 @@ let leaf_vertex t i = t.begin_v.(t.drs.leaf_nodes.(i))
 
 let vertex_owner t v = t.vertex_owner.(v)
 
-let fire_edges t = Drs.pairs t.rewriting
+let fire_edges t = t.fire_edges
 
 let begin_vertex t n =
   check t n;
